@@ -758,11 +758,31 @@ let ingest_config ~dir ~shards prog ir =
     c_shards = shards;
   }
 
+(* An unusable service directory is a usage error, like an unknown
+   program: one line naming the directory and exit 2, not a backtrace.
+   [Sys_error] messages read "PATH: REASON"; only the reason is kept. *)
+let with_service_dir dir f =
+  let rec reason = function
+    | Sys_error msg -> (
+      match String.rindex_opt msg ':' with
+      | Some i ->
+        String.trim (String.sub msg (i + 1) (String.length msg - i - 1))
+      | None -> msg)
+    | Unix.Unix_error (e, _, _) -> Unix.error_message e
+    | Fisher92_ingest.Client.Gave_up (_, e) -> reason e
+    | e -> Printexc.to_string e
+  in
+  try f () with
+  | (Sys_error _ | Unix.Unix_error _ | Fisher92_ingest.Client.Gave_up _) as e ->
+    Printf.eprintf "fisher92: %s: %s\n" dir (reason e);
+    exit 2
+
 let serve_cmd =
   let module S = Fisher92_ingest.Service in
   let run prog dir rounds interval shards =
     let w = find_workload prog in
     let ir = compile w in
+    with_service_dir dir @@ fun () ->
     let svc = S.open_ (ingest_config ~dir ~shards prog ir) in
     List.iter (fun n -> Printf.printf "note: %s\n" n) (S.notes svc);
     for round = 1 to rounds do
@@ -834,7 +854,10 @@ let submit_cmd =
         (Profile.of_run ~program:prog r)
     in
     let rng = Fisher92_util.Rng.create (nonce + 7) in
-    let path = Fisher92_ingest.Client.spool_submit ~rng ~dir delta in
+    let path =
+      with_service_dir dir (fun () ->
+          Fisher92_ingest.Client.spool_submit ~rng ~dir delta)
+    in
     Printf.printf "spooled %s (id %s, %d site entries)\n" path
       delta.Fisher92_ingest.Delta.d_id
       (Array.length delta.Fisher92_ingest.Delta.d_sites)

@@ -96,23 +96,24 @@ val hook_batch :
   t -> int array -> Bytes.t -> int array -> int array -> int -> unit
 (** [hook_batch t sites taken runs periods n] feeds one decoded chunk —
     event [i] ([0 <= i < n]) is site [sites.(i)] with outcome
-    [Bytes.get taken i <> '\000'] — equivalently to [n] {!hook} calls
-    but with the scheme dispatch hoisted out of the loop: partially
-    applying [hook_batch t] selects one tight table-update loop per
-    scheme.  [runs] carries the chunk's run structure: at each run head
-    [i] (the first index of a stretch of consecutive identical
-    (site, outcome) events), [runs.(i)] is the stretch's length [>= 1];
-    other entries are ignored, and the head lengths must tile [0, n).
-    [periods] marks periodic stretches: at the head [i] of a stretch
-    satisfying event [j] = event [j - p] throughout, [periods.(i)] is
-    [(len lsl 7) lor p] with [2 <= p <= 64], every such head also a run
-    head; everywhere else it must be 0 (an all-zero array is always
-    valid).  Both are preconditions, not checked.  Schemes use them to
-    fast-forward state fixpoints — saturated counters across a run in
-    O(1), settled periodic loop state in O(p) — with bit-identical
-    results (neither runs nor stretches need be maximal, so splitting
-    them at chunk boundaries is always sound).  This is the consumer
-    shape produced by {!Fisher92_trace.Trace.Reader.iter_runs}.
+    [Bytes.get taken i <> '\000'] — equivalently to [n] {!hook} calls:
+    both run the scheme's one update rule, and [hook_batch] adds only a
+    generic fast-forward driver over it.  [runs] carries the chunk's
+    run structure: at each run head [i] (the first index of a stretch
+    of consecutive identical (site, outcome) events), [runs.(i)] is the
+    stretch's length [>= 1]; other entries are ignored, and the head
+    lengths must tile [0, n).  [periods] marks periodic stretches: at
+    the head [i] of a stretch satisfying event [j] = event [j - p]
+    throughout, [periods.(i)] is [(len lsl 7) lor p] with
+    [2 <= p <= 64], every such head also a run head; everywhere else it
+    must be 0 (an all-zero array is always valid).  Both are
+    preconditions, not checked.  A run is a 1-periodic stretch, so the
+    driver treats both alike: it steps whole periods until one leaves
+    every table value and the history register unchanged, then tallies
+    the rest of the stretch in O(p) — with bit-identical results
+    (neither runs nor stretches need be maximal, so splitting them at
+    chunk boundaries is always sound).  This is the consumer shape
+    produced by {!Fisher92_trace.Trace.Reader.iter_runs}.
     @raise Invalid_argument as {!hook} on an out-of-range site. *)
 
 val simulate_runs :

@@ -539,10 +539,18 @@ let prop_wal_corruption =
       && Array.for_all2 ( >= ) enc taken)
 
 (* Malformed spool submissions: random garbage (or a corrupted real
-   delta) must always quarantine, never ingest, never raise. *)
+   delta) must always quarantine, never ingest, never raise.  A mutant
+   that still parses is a well-formed delta, so the spool must give it
+   exactly the outcome a direct submission gets on a fresh service —
+   which is a quarantine too when the delta is, say, stale and keyless. *)
 let prop_malformed_quarantined =
   QCheck2.Test.make ~name:"malformed spool deltas always quarantine"
     ~count:100
+    ~print:(function
+      | `Garbage s -> Printf.sprintf "garbage %S" s
+      | `Mutant (d, ops) ->
+        Printf.sprintf "mutant of %S: %s" (Delta.render d)
+          (String.concat "; " (List.map Corrupt.op_name ops)))
     Gen.(
       oneof
         [
@@ -560,9 +568,16 @@ let prop_malformed_quarantined =
         | `Garbage s -> s
         | `Mutant (d, ops) -> List.fold_left Corrupt.apply_op (Delta.render d) ops
       in
-      let parses = match Delta.parse text with
-        | (_ : Delta.t) -> true
-        | exception Sectfile.Bad _ -> false
+      let direct =
+        match Delta.parse text with
+        | d ->
+          Some
+            ( with_dir @@ fun fresh ->
+              let svc = Service.open_ (cfg fresh) in
+              let o = Service.submit svc d in
+              Service.close svc;
+              o )
+        | exception Sectfile.Bad _ -> None
       in
       let path = Filename.concat (Service.spool_dir ~dir) "case.delta" in
       let oc = open_out_bin path in
@@ -571,13 +586,16 @@ let prop_malformed_quarantined =
       let svc = Service.open_ (cfg dir) in
       let r = Service.drain_spool svc in
       Service.close svc;
-      (* an (unlikely) checksum-surviving mutation parses as the original
-         delta and is rightly ingested; everything else quarantines *)
-      if parses then r.Service.dr_acked = 1
-      else
+      let quarantined () =
         r.Service.dr_quarantined = 1
         && Sys.readdir (Service.spool_dir ~dir) = [||]
-        && (Service.stats svc).Service.st_accepted = 0)
+        && (Service.stats svc).Service.st_accepted = 0
+      in
+      match direct with
+      | Some (Service.Acked | Service.Acked_remapped _) ->
+        r.Service.dr_acked = 1
+      | Some Service.Duplicate -> r.Service.dr_duplicates = 1
+      | Some (Service.Quarantined _) | None -> quarantined ())
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
