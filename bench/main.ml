@@ -180,7 +180,7 @@ let tracebench () =
     done;
     (r, !best)
   in
-  let schemes = Fisher92.Experiments.zoo_schemes () in
+  let schemes = Fisher92.Tracing.zoo_schemes () in
   let workloads =
     List.map Fisher92_workloads.Registry.find
       [ "lfk"; "doduc"; "compress"; "uncompress"; "spiff" ]

@@ -46,6 +46,19 @@ let find_workload name =
     Printf.eprintf "unknown program %S; try `fisher92 list`\n" name;
     exit 2
 
+(* A file or directory the user named that cannot be used is a usage
+   error, like an unknown program: one line naming it and exit 2, not a
+   backtrace. *)
+let usage_error path reason =
+  Printf.eprintf "fisher92: %s: %s\n" path reason;
+  exit 2
+
+(* [Sys_error] messages read "PATH: REASON"; only the reason is kept. *)
+let sys_error_reason msg =
+  match String.rindex_opt msg ':' with
+  | Some i -> String.trim (String.sub msg (i + 1) (String.length msg - i - 1))
+  | None -> msg
+
 (* ---- list ---- *)
 
 let list_cmd =
@@ -361,7 +374,12 @@ let db_cmd =
   in
   let migrate =
     let run file output =
-      let db = Db.load_file file in
+      let db =
+        match Db.load_file file with
+        | db -> db
+        | exception Failure msg -> usage_error file msg
+        | exception Sys_error msg -> usage_error file (sys_error_reason msg)
+      in
       let dest = match output with Some o -> o | None -> file in
       Db.save_file db dest;
       Printf.printf "wrote %s (v2, %d datasets)\n" dest
@@ -758,24 +776,17 @@ let ingest_config ~dir ~shards prog ir =
     c_shards = shards;
   }
 
-(* An unusable service directory is a usage error, like an unknown
-   program: one line naming the directory and exit 2, not a backtrace.
-   [Sys_error] messages read "PATH: REASON"; only the reason is kept. *)
+(* An unusable service directory is a usage error ({!usage_error}). *)
 let with_service_dir dir f =
   let rec reason = function
-    | Sys_error msg -> (
-      match String.rindex_opt msg ':' with
-      | Some i ->
-        String.trim (String.sub msg (i + 1) (String.length msg - i - 1))
-      | None -> msg)
+    | Sys_error msg -> sys_error_reason msg
     | Unix.Unix_error (e, _, _) -> Unix.error_message e
     | Fisher92_ingest.Client.Gave_up (_, e) -> reason e
     | e -> Printexc.to_string e
   in
   try f () with
   | (Sys_error _ | Unix.Unix_error _ | Fisher92_ingest.Client.Gave_up _) as e ->
-    Printf.eprintf "fisher92: %s: %s\n" dir (reason e);
-    exit 2
+    usage_error dir (reason e)
 
 let serve_cmd =
   let module S = Fisher92_ingest.Service in

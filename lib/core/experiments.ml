@@ -15,6 +15,7 @@ module Vm = Fisher92_vm.Vm
 module Table = Fisher92_report.Table
 module Chart = Fisher92_report.Chart
 module Stats = Fisher92_util.Stats
+module Pool = Fisher92_util.Pool
 
 let lang_of (l : Study.loaded) = l.workload.Workload.w_lang
 
@@ -195,7 +196,7 @@ let render_fig3 rows =
 type table1_row = { t1_program : string; t1_dead_pct : float }
 
 let table1 study =
-  List.map
+  Pool.map
     (fun (l : Study.loaded) ->
       let w = l.workload in
       let dataset = List.hd w.w_datasets in
@@ -535,27 +536,19 @@ type dynamic_row = {
 
 let dynamic study =
   List.map
-    (fun (l : Study.loaded) ->
+    (fun (s : Tracing.shared) ->
+      let l = s.sh_loaded in
       let run = List.hd l.runs in
-      let dataset = List.hd l.workload.w_datasets in
-      let n_sites = Fisher92_ir.Program.n_sites l.ir in
-      let simulate scheme =
-        let sim = Dynamic.create scheme ~n_sites in
-        let config =
-          { Vm.default_config with on_branch = Some (Dynamic.hook sim) }
-        in
-        let (_ : Vm.result) = Study.execute l.ir dataset ~config () in
-        Dynamic.percent_correct sim
-      in
+      let pct scheme = Dynamic.percent_correct (Tracing.cold s scheme) in
       {
         dy_program = l.workload.w_name;
         dy_dataset = run.dataset;
         dy_static_pct =
           Measure.percent_correct run (Measure.self_prediction run);
-        dy_onebit_pct = simulate Dynamic.Last_direction;
-        dy_twobit_pct = simulate Dynamic.Two_bit;
+        dy_onebit_pct = pct Dynamic.Last_direction;
+        dy_twobit_pct = pct Dynamic.Two_bit;
       })
-    (Study.items study)
+    (Tracing.shared study)
 
 let render_dynamic rows =
   "Static (self profile) vs dynamic hardware predictors (% branches\n\
@@ -595,7 +588,8 @@ type dynsim_row = {
 
 let dynsim study =
   List.map
-    (fun ((l : Study.loaded), (_ : Tracing.obtained), sims) ->
+    (fun (s : Tracing.shared) ->
+      let l = s.sh_loaded in
       let run = List.hd l.runs in
       let prof =
         Profile.sum (List.map (fun (r : Measure.run) -> r.profile) l.runs)
@@ -609,10 +603,12 @@ let dynsim study =
           Measure.percent_correct run (Prediction.of_profile prof);
         dn_schemes =
           List.map
-            (fun (s, t) -> (Dynamic.scheme_name s, Dynamic.percent_correct t))
-            sims;
+            (fun scheme ->
+              ( Dynamic.scheme_name scheme,
+                Dynamic.percent_correct (Tracing.cold s scheme) ))
+            (dynsim_schemes ());
       })
-    (Tracing.simulate_study ~schemes:(dynsim_schemes ()) study)
+    (Tracing.shared study)
 
 let render_dynsim rows =
   let scheme_names =
@@ -660,49 +656,60 @@ type predictability_row = {
   pd_hard_dyn_pct : float;
 }
 
+(* The history predictor the buckets (and the H2P class) are measured
+   against, replayed cold. *)
+let gshare12 = Dynamic.Gshare { history_bits = 12 }
+
+type bucket = Always | Mostly | History | Hard
+
+(* Every covered site of [run] with its bucket: one direction only,
+   >= 95% biased, >= 90% predicted by [gshare] (which replayed [run]'s
+   own trace), or hard. *)
+let site_buckets (run : Measure.run) gshare =
+  let sc = Dynamic.site_correct gshare
+  and si = Dynamic.site_incorrect gshare in
+  let tak = run.profile.Profile.taken in
+  List.filter_map
+    (fun (s, n) ->
+      if n = 0 then None
+      else
+        let bias = float_of_int (max tak.(s) (n - tak.(s))) /. float_of_int n in
+        let acc = float_of_int sc.(s) /. float_of_int (sc.(s) + si.(s)) in
+        Some
+          ( s,
+            if bias = 1.0 then Always
+            else if bias >= 0.95 then Mostly
+            else if acc >= 0.9 then History
+            else Hard ))
+    (List.mapi (fun s n -> (s, n))
+       (Array.to_list run.profile.Profile.encountered))
+
 let predictability study =
   List.map
-    (fun ((l : Study.loaded), (_ : Tracing.obtained), sims) ->
+    (fun (s : Tracing.shared) ->
+      let l = s.sh_loaded in
       let run = List.hd l.runs in
-      let gshare = snd (List.hd sims) in
-      let sc = Dynamic.site_correct gshare
-      and si = Dynamic.site_incorrect gshare in
-      let enc = run.profile.Profile.encountered
-      and tak = run.profile.Profile.taken in
-      let covered = ref 0 and always = ref 0 and mostly = ref 0 in
-      let history = ref 0 and hard = ref 0 in
-      let dyn_total = ref 0 and dyn_hard = ref 0 in
-      Array.iteri
-        (fun s n ->
-          if n > 0 then begin
-            incr covered;
-            dyn_total := !dyn_total + n;
-            let bias =
-              float_of_int (max tak.(s) (n - tak.(s))) /. float_of_int n
-            in
-            let acc = float_of_int sc.(s) /. float_of_int (sc.(s) + si.(s)) in
-            if bias = 1.0 then incr always
-            else if bias >= 0.95 then incr mostly
-            else if acc >= 0.9 then incr history
-            else begin
-              incr hard;
-              dyn_hard := !dyn_hard + n
-            end
-          end)
-        enc;
+      let buckets = site_buckets run (Tracing.cold s gshare12) in
+      let count b = List.length (List.filter (fun (_, b') -> b' = b) buckets) in
+      let weight sites =
+        List.fold_left
+          (fun n (site, _) -> n + run.profile.Profile.encountered.(site))
+          0 sites
+      in
       {
         pd_program = l.workload.w_name;
         pd_dataset = run.dataset;
-        pd_sites = !covered;
-        pd_always = !always;
-        pd_mostly = !mostly;
-        pd_history = !history;
-        pd_hard = !hard;
-        pd_hard_dyn_pct = Stats.percent !dyn_hard !dyn_total;
+        pd_sites = List.length buckets;
+        pd_always = count Always;
+        pd_mostly = count Mostly;
+        pd_history = count History;
+        pd_hard = count Hard;
+        pd_hard_dyn_pct =
+          Stats.percent
+            (weight (List.filter (fun (_, b) -> b = Hard) buckets))
+            (weight buckets);
       })
-    (Tracing.simulate_study
-       ~schemes:[ Dynamic.Gshare { history_bits = 12 } ]
-       study)
+    (Tracing.shared study)
 
 let render_predictability rows =
   "Per-site predictability buckets, first dataset (always = one\n\
@@ -728,9 +735,6 @@ let render_predictability rows =
 (* Predictor-zoo tournament                                             *)
 (* ------------------------------------------------------------------ *)
 
-let zoo_schemes () =
-  List.map (fun d -> d.Predictor.d_scheme) (Predictor.zoo ())
-
 type tournament_row = {
   tn_program : string;
   tn_scheme : string;
@@ -744,7 +748,8 @@ type tournament_row = {
 
 let tournament study =
   List.concat_map
-    (fun ((l : Study.loaded), (_ : Tracing.obtained), races) ->
+    (fun (s : Tracing.shared) ->
+      let l = s.sh_loaded in
       let run = List.hd l.runs in
       let instrs = run.counts.Breaks.instructions in
       let ipm t =
@@ -762,8 +767,8 @@ let tournament study =
             tn_cold_ipm = ipm rc.rc_cold;
             tn_warm_ipm = ipm rc.rc_warm;
           })
-        races)
-    (Tracing.tournament_study ~schemes:(zoo_schemes ()) study)
+        s.sh_races)
+    (Tracing.shared study)
 
 (* Geomean of per-row (warm+1)/(cold+1) mispredict ratios — the +1
    keeps zero-mispredict rows defined; < 1.0 means warming won. *)
@@ -830,39 +835,18 @@ type h2p_row = {
 
 (* The H2P class of [Lin and Tarsa]: the few static sites a capable
    history predictor still gets wrong — here, covered sites that are
-   neither >=95% biased nor >=90% predicted by cold gshare/12.  The
-   thresholds match the [predictability] experiment's "hard" bucket. *)
-let h2p_sites (run : Measure.run) gshare_cold =
-  let sc = Dynamic.site_correct gshare_cold
-  and si = Dynamic.site_incorrect gshare_cold in
-  let enc = run.profile.Profile.encountered
-  and tak = run.profile.Profile.taken in
-  let hard = ref [] in
-  Array.iteri
-    (fun s n ->
-      if n > 0 then begin
-        let bias = float_of_int (max tak.(s) (n - tak.(s))) /. float_of_int n in
-        let acc = float_of_int sc.(s) /. float_of_int (sc.(s) + si.(s)) in
-        if bias < 0.95 && acc < 0.9 then hard := s :: !hard
-      end)
-    enc;
-  List.rev !hard
-
+   neither >=95% biased nor >=90% predicted by cold gshare/12, which is
+   the [predictability] experiment's "hard" bucket. *)
 let h2p study =
   List.map
-    (fun ((l : Study.loaded), (_ : Tracing.obtained), races) ->
+    (fun (s : Tracing.shared) ->
+      let l = s.sh_loaded in
       let run = List.hd l.runs in
-      let gshare_cold =
-        match
-          List.find_opt
-            (fun (rc : Tracing.raced) ->
-              match rc.rc_scheme with Dynamic.Gshare _ -> true | _ -> false)
-            races
-        with
-        | Some rc -> rc.rc_cold
-        | None -> invalid_arg "Experiments.h2p: no gshare scheme in the zoo"
+      let hard =
+        List.filter_map
+          (fun (site, b) -> if b = Hard then Some site else None)
+          (site_buckets run (Tracing.cold s gshare12))
       in
-      let hard = h2p_sites run gshare_cold in
       let dyn_total = Array.fold_left ( + ) 0 run.profile.Profile.encountered in
       let dyn_hard =
         List.fold_left
@@ -880,9 +864,9 @@ let h2p study =
               ( Dynamic.scheme_name rc.rc_scheme,
                 at_sites (Dynamic.site_incorrect rc.rc_cold),
                 at_sites (Dynamic.site_incorrect rc.rc_warm) ))
-            races;
+            s.sh_races;
       })
-    (Tracing.tournament_study ~schemes:(zoo_schemes ()) study)
+    (Tracing.shared study)
 
 let render_h2p rows =
   let scheme_names =
@@ -934,7 +918,7 @@ type inline_row = {
 }
 
 let inline_ablation study =
-  List.map
+  Pool.map
     (fun (l : Study.loaded) ->
       let run = List.hd l.runs in
       let dataset = List.hd l.workload.w_datasets in
@@ -990,7 +974,7 @@ type gaps_row = {
 }
 
 let gaps study =
-  List.map
+  Pool.map
     (fun (l : Study.loaded) ->
       let run = List.hd l.runs in
       let dataset = List.hd l.workload.w_datasets in
@@ -1083,42 +1067,40 @@ let program_has_switch (p : Fisher92_minic.Ast.program) =
   !found
 
 let switchsort study =
-  List.filter_map
+  Pool.map
     (fun (l : Study.loaded) ->
-      if not (program_has_switch l.workload.w_program) then None
-      else begin
-        let run = List.hd l.runs in
-        let dataset = List.hd l.workload.w_datasets in
-        let heat = case_heat l.ir run.profile in
-        let options =
-          {
-            (Fisher92_workloads.Workload.compile_options l.workload) with
-            switch_heat = Some heat;
-          }
-        in
-        let sorted_ir =
-          Fisher92_minic.Compile.compile ~options l.workload.w_program
-        in
-        let sorted_result = Study.execute sorted_ir dataset () in
-        let sorted_run =
-          Measure.of_result ~program:l.workload.w_name ~dataset:run.dataset
-            sorted_result
-        in
-        let base = run.counts.instructions in
-        let sorted = sorted_run.counts.instructions in
-        Some
-          {
-            ss_program = l.workload.w_name;
-            ss_dataset = run.dataset;
-            ss_base_insns = base;
-            ss_sorted_insns = sorted;
-            ss_insns_saved_pct =
-              100.0 *. (1.0 -. (float_of_int sorted /. float_of_int base));
-            ss_base_ipb = Measure.ipb_self run;
-            ss_sorted_ipb = Measure.ipb_self sorted_run;
-          }
-      end)
-    (Study.items study)
+      let run = List.hd l.runs in
+      let dataset = List.hd l.workload.w_datasets in
+      let heat = case_heat l.ir run.profile in
+      let options =
+        {
+          (Fisher92_workloads.Workload.compile_options l.workload) with
+          switch_heat = Some heat;
+        }
+      in
+      let sorted_ir =
+        Fisher92_minic.Compile.compile ~options l.workload.w_program
+      in
+      let sorted_result = Study.execute sorted_ir dataset () in
+      let sorted_run =
+        Measure.of_result ~program:l.workload.w_name ~dataset:run.dataset
+          sorted_result
+      in
+      let base = run.counts.instructions in
+      let sorted = sorted_run.counts.instructions in
+      {
+        ss_program = l.workload.w_name;
+        ss_dataset = run.dataset;
+        ss_base_insns = base;
+        ss_sorted_insns = sorted;
+        ss_insns_saved_pct =
+          100.0 *. (1.0 -. (float_of_int sorted /. float_of_int base));
+        ss_base_ipb = Measure.ipb_self run;
+        ss_sorted_ipb = Measure.ipb_self sorted_run;
+      })
+    (List.filter
+       (fun (l : Study.loaded) -> program_has_switch l.workload.w_program)
+       (Study.items study))
 
 let render_switchsort rows =
   "Profile-guided switch reordering (hottest case first; paper: a\n\
@@ -1154,7 +1136,7 @@ type overhead_row = {
 }
 
 let overhead study =
-  List.map
+  Pool.map
     (fun (l : Study.loaded) ->
       let run = List.hd l.runs in
       let dataset = List.hd l.workload.w_datasets in
@@ -1320,7 +1302,7 @@ let staleness study =
   in
   let remap_chain = predictor "remap-chain" in
   let bare_heuristic = predictor "ball-larus" in
-  List.map
+  Pool.map
     (fun (l : Study.loaded) ->
       let w = l.workload in
       (* the database as the previous build left it: counters plus the

@@ -136,7 +136,9 @@ type dynamic_row = {
 }
 
 val dynamic : Study.t -> dynamic_row list
-(** Re-executes the first dataset of each workload with predictor hooks. *)
+(** Reads 1-bit and 2-bit off the cold simulators of the study's shared
+    replay ({!Tracing.shared}) of each workload's first-dataset trace;
+    no VM run of its own. *)
 
 val render_dynamic : dynamic_row list -> string
 
@@ -156,9 +158,9 @@ type dynsim_row = {
 }
 
 val dynsim : Study.t -> dynsim_row list
-(** Trace-driven: obtains each workload's first-dataset branch trace
-    (store hit or one capture run) and replays it through every scheme
-    of {!dynsim_schemes} — one execution, many simulators. *)
+(** Trace-driven: every scheme of {!dynsim_schemes}, read off the cold
+    simulators of the study's shared replay ({!Tracing.shared}) of each
+    workload's first-dataset trace. *)
 
 val render_dynsim : dynsim_row list -> string
 
@@ -175,14 +177,10 @@ type predictability_row = {
 
 val predictability : Study.t -> predictability_row list
 (** Buckets every covered site of the first dataset by how it can be
-    predicted, from the replayed trace's per-site gshare accuracy. *)
+    predicted, from the per-site accuracy of the shared replay's cold
+    gshare/12 ({!Tracing.shared}). *)
 
 val render_predictability : predictability_row list -> string
-
-val zoo_schemes : unit -> Fisher92_predict.Dynamic.scheme list
-(** The tournament roster: every scheme of
-    {!Fisher92_predict.Predictor.zoo} (smith, 2-bit, 2-level, gshare,
-    bimode, tage), in registration order. *)
 
 type tournament_row = {
   tn_program : string;
@@ -199,7 +197,8 @@ val tournament : Study.t -> tournament_row list
 (** The head-to-head the paper argues for: every zoo scheme replayed
     over each workload's first-dataset trace twice — cold, and with its
     counters seeded from the accumulated profile database through the
-    remap chain ({!Tracing.warm_prediction}).  One row per
+    remap chain ({!Tracing.warm_prediction}) — both read off the
+    study's shared replay ({!Tracing.shared}).  One row per
     (workload, scheme). *)
 
 val render_tournament : tournament_row list -> string
@@ -210,7 +209,7 @@ type h2p_row = {
   hp_dyn_pct : float;  (** their share of dynamic branches *)
   hp_schemes : (string * int * int) list;
       (** (scheme, cold mispredicts, warm mispredicts) at H2P sites,
-          in {!zoo_schemes} order *)
+          in {!Tracing.zoo_schemes} order *)
 }
 
 val h2p : Study.t -> h2p_row list

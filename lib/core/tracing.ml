@@ -40,24 +40,6 @@ let obtain ?(store = true) ~ir ~program (d : Workload.dataset) =
        same decoder output. *)
     { reader = Trace.Reader.of_string (Trace.Writer.render w); from_store = false }
 
-let simulate_study ?domains ?store ~schemes study =
-  Pool.map ?domains
-    (fun (l : Study.loaded) ->
-      let dataset = List.hd l.workload.Workload.w_datasets in
-      let ob = obtain ?store ~ir:l.ir ~program:l.workload.w_name dataset in
-      let n_sites = Fisher92_ir.Program.n_sites l.ir in
-      (* one decode feeds every scheme: the chunk fans out over the
-         per-scheme table-update loops, so adding a scheme costs its
-         updates only, not another pass over the codec *)
-      let sims =
-        List.map (fun scheme -> (scheme, Dynamic.create scheme ~n_sites)) schemes
-      in
-      let hooks = List.map (fun (_, t) -> Dynamic.hook_batch t) sims in
-      Trace.Reader.iter_runs ob.reader (fun st tk rl pr n ->
-          List.iter (fun h -> h st tk rl pr n) hooks);
-      (l, ob, sims))
-    (Study.items study)
-
 let warm_prediction (l : Study.loaded) =
   let module Db = Fisher92_profile.Db in
   let db =
@@ -75,30 +57,90 @@ let warm_prediction (l : Study.loaded) =
 
 type raced = { rc_scheme : Dynamic.scheme; rc_cold : Dynamic.t; rc_warm : Dynamic.t }
 
+(* Replay a workload's first-dataset trace once: cold and warm twins of
+   every scheme in [schemes], plus a cold-only simulator per scheme in
+   [cold].  One decode feeds them all — each chunk fans out over the
+   per-simulator table-update loops, so a simulator costs its updates
+   only, not another pass over the codec. *)
+let replay_first ?store ~schemes ~cold (l : Study.loaded) =
+  let dataset = List.hd l.workload.Workload.w_datasets in
+  let ob = obtain ?store ~ir:l.ir ~program:l.workload.w_name dataset in
+  let n_sites = Fisher92_ir.Program.n_sites l.ir in
+  let warm = warm_prediction l in
+  let races =
+    List.map
+      (fun scheme ->
+        {
+          rc_scheme = scheme;
+          rc_cold = Dynamic.create scheme ~n_sites;
+          rc_warm = Dynamic.create ~warm scheme ~n_sites;
+        })
+      schemes
+  in
+  let colds = List.map (fun scheme -> Dynamic.create scheme ~n_sites) cold in
+  let hooks =
+    List.concat_map
+      (fun r -> [ Dynamic.hook_batch r.rc_cold; Dynamic.hook_batch r.rc_warm ])
+      races
+    @ List.map Dynamic.hook_batch colds
+  in
+  Trace.Reader.iter_runs ob.reader (fun st tk rl pr n ->
+      List.iter (fun h -> h st tk rl pr n) hooks);
+  (ob, races, colds)
+
 let tournament_study ?domains ?store ~schemes study =
   Pool.map ?domains
-    (fun (l : Study.loaded) ->
-      let dataset = List.hd l.workload.Workload.w_datasets in
-      let ob = obtain ?store ~ir:l.ir ~program:l.workload.w_name dataset in
-      let n_sites = Fisher92_ir.Program.n_sites l.ir in
-      let warm = warm_prediction l in
-      (* cold and warm twins for every scheme ride one shared decode *)
-      let races =
-        List.map
-          (fun scheme ->
-            {
-              rc_scheme = scheme;
-              rc_cold = Dynamic.create scheme ~n_sites;
-              rc_warm = Dynamic.create ~warm scheme ~n_sites;
-            })
-          schemes
-      in
-      let hooks =
-        List.concat_map
-          (fun r -> [ Dynamic.hook_batch r.rc_cold; Dynamic.hook_batch r.rc_warm ])
-          races
-      in
-      Trace.Reader.iter_runs ob.reader (fun st tk rl pr n ->
-          List.iter (fun h -> h st tk rl pr n) hooks);
+    (fun l ->
+      let ob, races, _ = replay_first ?store ~schemes ~cold:[] l in
       (l, ob, races))
     (Study.items study)
+
+let zoo_schemes () =
+  List.map
+    (fun d -> d.Fisher92_predict.Predictor.d_scheme)
+    (Fisher92_predict.Predictor.zoo ())
+
+type shared = {
+  sh_loaded : Study.loaded;
+  sh_onebit : Dynamic.t;
+  sh_races : raced list;
+}
+
+let replay_shared study =
+  let schemes = zoo_schemes () in
+  Pool.map
+    (fun l ->
+      let _, races, colds =
+        replay_first ~schemes ~cold:[ Dynamic.Last_direction ] l
+      in
+      { sh_loaded = l; sh_onebit = List.hd colds; sh_races = races })
+    (Study.items study)
+
+(* One slot: the last study's replay, held by an ephemeron keyed on the
+   study itself, so the GC drops both once the study is unreachable.
+   The lock makes concurrent callers on one study wait for a single
+   replay rather than race to build their own. *)
+let memo : (Study.t, shared list) Ephemeron.K1.t option ref = ref None
+let memo_lock = Mutex.create ()
+let built = Atomic.make 0
+
+let shared study =
+  Mutex.protect memo_lock (fun () ->
+      match Option.bind !memo (fun e -> Ephemeron.K1.query e study) with
+      | Some s -> s
+      | None ->
+        let s = replay_shared study in
+        Atomic.incr built;
+        memo := Some (Ephemeron.K1.make study s);
+        s)
+
+let shared_builds () = Atomic.get built
+
+let cold (s : shared) scheme =
+  if scheme = Dynamic.Last_direction then s.sh_onebit
+  else
+    match List.find_opt (fun r -> r.rc_scheme = scheme) s.sh_races with
+    | Some r -> r.rc_cold
+    | None ->
+      invalid_arg
+        ("Tracing.cold: the shared replay has no " ^ Dynamic.scheme_name scheme)

@@ -1,8 +1,9 @@
 (** Glue between the branch-trace subsystem ({!Fisher92_trace.Trace})
     and the study: key computation, capture through the VM's
-    [on_branch] hook, the load-or-record store round-trip, and the
-    parallel trace-driven simulation fan-out the [dynsim] and
-    [predictability] experiments run on.
+    [on_branch] hook, the load-or-record store round-trip, and the one
+    shared, memoized replay per study ({!shared}) that the [dynamic],
+    [dynsim], [predictability], [tournament] and [h2p] experiments all
+    read.
 
     Keys mirror {!Study_cache}: the workload name, the structural
     {!Fisher92_analysis.Fingerprint.program_hash} of the measured build,
@@ -36,21 +37,6 @@ val obtain :
     back, best-effort).  [~store:false] bypasses the store in both
     directions.  The replayed stream is identical either way. *)
 
-val simulate_study :
-  ?domains:int ->
-  ?store:bool ->
-  schemes:Dynamic.scheme list ->
-  Study.t ->
-  (Study.loaded * obtained * (Dynamic.scheme * Dynamic.t) list) list
-(** For every loaded workload: obtain the trace of its {e first}
-    dataset (the convention the [dynamic] experiment established) and
-    replay it through a cold simulator per scheme, on the batched
-    run-level path ({!Trace.Reader.iter_runs} into
-    {!Dynamic.simulate_runs} — bit-identical to streaming replay,
-    several times faster).  Fans the per-workload work over a
-    {!Fisher92_util.Pool}; results are merged by index, so the output
-    is deterministic and identical to a sequential run. *)
-
 val warm_prediction : Study.loaded -> Fisher92_predict.Prediction.t
 (** The profile-warming vector for a workload: an IFPROB database built
     from {e all} of its datasets' profiles (identity stamped with the
@@ -71,6 +57,42 @@ val tournament_study :
   schemes:Dynamic.scheme list ->
   Study.t ->
   (Study.loaded * obtained * raced list) list
-(** {!simulate_study}, but every scheme is replayed twice over the same
-    decoded trace — once cold and once seeded with {!warm_prediction} —
-    which is the tournament and H2P experiments' raw material. *)
+(** For every loaded workload: obtain the trace of its {e first}
+    dataset and replay it through every scheme twice over one decode —
+    once cold and once seeded with {!warm_prediction} — on the batched
+    run-level path ({!Trace.Reader.iter_runs} into
+    {!Dynamic.hook_batch}, bit-identical to streaming replay and several
+    times faster).  Fans the per-workload work over a
+    {!Fisher92_util.Pool}; results are merged by index, so the output
+    is deterministic and identical to a sequential run.  Unmemoized:
+    every call replays (and consults the store) afresh. *)
+
+val zoo_schemes : unit -> Dynamic.scheme list
+(** Every scheme of {!Fisher92_predict.Predictor.zoo} (smith, 2-bit,
+    2-level, gshare, bimode, tage), in registration order. *)
+
+(** {2 The shared replay} *)
+
+type shared = {
+  sh_loaded : Study.loaded;
+  sh_onebit : Dynamic.t;  (** cold 1-bit ({!Dynamic.Last_direction}) *)
+  sh_races : raced list;  (** cold and warm, in {!zoo_schemes} order *)
+}
+
+val shared : Study.t -> shared list
+(** One per loaded workload, in study order: {!tournament_study} over
+    {!zoo_schemes} plus a cold 1-bit simulator riding the same decode.
+    Memoized on the study's physical identity — every call on one
+    [Study.t] returns the same replay, built once; a separately loaded
+    study gets its own.  The memo holds one study at a time, through an
+    ephemeron, so it keeps nothing alive past its study.  Safe to call
+    from several domains.  Callers only read the simulators: stepping
+    or {!Dynamic.reset_counts} on them would corrupt every later
+    reader. *)
+
+val shared_builds : unit -> int
+(** How many shared replays {!shared} has built in this process. *)
+
+val cold : shared -> Dynamic.scheme -> Dynamic.t
+(** The shared replay's cold simulator for a scheme: 1-bit or a zoo
+    scheme.  @raise Invalid_argument for any other scheme. *)
