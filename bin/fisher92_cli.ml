@@ -299,11 +299,19 @@ let db_cmd =
   let module Db = Fisher92_profile.Db in
   let module Remap = Fisher92_predict.Remap in
   let read_file path =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
+    try
+      let ic = open_in_bin path in
+      let n = in_channel_length ic in
+      let s = really_input_string ic n in
+      close_in ic;
+      s
+    with Sys_error msg -> usage_error path (sys_error_reason msg)
+  in
+  (* [Db.save_file] writes through a temporary file beside [dest], so
+     its [Sys_error] names that file, not the path the user gave *)
+  let save_file db dest =
+    try Db.save_file db dest
+    with Sys_error msg -> usage_error dest (sys_error_reason msg)
   in
   let file_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
@@ -361,7 +369,7 @@ let db_cmd =
       let db, report = Db.load_lenient (read_file file) in
       print_string (Db.render_report report);
       let dest = match output with Some o -> o | None -> file in
-      Db.save_file db dest;
+      save_file db dest;
       Printf.printf "wrote %s (%d datasets kept)\n" dest
         (List.length (Db.datasets db))
     in
@@ -381,7 +389,7 @@ let db_cmd =
         | exception Sys_error msg -> usage_error file (sys_error_reason msg)
       in
       let dest = match output with Some o -> o | None -> file in
-      Db.save_file db dest;
+      save_file db dest;
       Printf.printf "wrote %s (v2, %d datasets)\n" dest
         (List.length (Db.datasets db))
     in
@@ -440,9 +448,11 @@ let trace_cmd =
       (match output with
       | None -> ()
       | Some path ->
-        let oc = open_out_bin path in
-        output_string oc text;
-        close_out oc;
+        (try
+           let oc = open_out_bin path in
+           output_string oc text;
+           close_out oc
+         with Sys_error msg -> usage_error path (sys_error_reason msg));
         Printf.printf "wrote %s (%d bytes)\n" path (String.length text));
       let r = Trace.Reader.of_string text in
       describe w d (Trace.Reader.meta r) ~source:"captured";

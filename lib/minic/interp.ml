@@ -93,8 +93,8 @@ let rec eval st frame e =
       | Bxor -> Vi (x lxor y)
       | Shl -> Vi (x lsl (y land 63))
       | Shr -> Vi (x asr (y land 63))
-      | Imin -> Vi (min x y)
-      | Imax -> Vi (max x y))
+      | Imin -> Vi (Int.min x y)
+      | Imax -> Vi (Int.max x y))
     | Vf x, Vf y -> (
       match op with
       | Add -> Vf (x +. y)

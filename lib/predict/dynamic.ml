@@ -70,7 +70,7 @@ let check_bits what bits =
     invalid_arg (Printf.sprintf "Dynamic.create: %s out of [1, 24]" what)
 
 let rec strictly_increasing = function
-  | a :: (b :: _ as rest) -> a < b && strictly_increasing rest
+  | (a : int) :: (b :: _ as rest) -> a < b && strictly_increasing rest
   | [] | [ _ ] -> true
 
 let check_histories histories =
@@ -85,7 +85,9 @@ let check_histories histories =
       "Dynamic.create: tage histories must be 1-4 strictly increasing \
        lengths in [1, 24]"
 
-let[@inline] bump c taken = if taken then min 3 (c + 1) else max 0 (c - 1)
+(* Int.min/max: Stdlib's polymorphic min/max make a C call per update *)
+let[@inline] bump c taken =
+  if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1)
 
 (* Profile warming: seed exactly the state the IFPROB database can
    speak to.  Site-indexed counters take the warm direction weakly
@@ -331,7 +333,7 @@ let create ?warm scheme ~n_sites =
   | _ -> ());
   let core =
     match scheme with
-    | Last_direction | Two_bit -> State (Array.make (max 1 n_sites) 0)
+    | Last_direction | Two_bit -> State (Array.make (Int.max 1 n_sites) 0)
     | Static p ->
       if Array.length p <> n_sites then
         invalid_arg
@@ -384,7 +386,7 @@ let create ?warm scheme ~n_sites =
                })
              histories)
       in
-      Tagged { base = Array.make (max 1 n_sites) 0; tables }
+      Tagged { base = Array.make (Int.max 1 n_sites) 0; tables }
   in
   let t =
     {
@@ -392,8 +394,8 @@ let create ?warm scheme ~n_sites =
       history = 0;
       correct = 0;
       incorrect = 0;
-      site_correct = Array.make (max 1 n_sites) 0;
-      site_incorrect = Array.make (max 1 n_sites) 0;
+      site_correct = Array.make (Int.max 1 n_sites) 0;
+      site_incorrect = Array.make (Int.max 1 n_sites) 0;
       step = (fun _ _ -> 0);
     }
   in

@@ -58,7 +58,7 @@ module Writer = struct
       n_sites;
       sites_buf = Buffer.create 4096;
       taken_buf = Buffer.create 1024;
-      next = Array.make (max 1 (2 * n_sites)) (-1);
+      next = Array.make (Int.max 1 (2 * n_sites)) (-1);
       prev_site = 0;
       prev_taken = false;
       have_prev = false;
@@ -241,7 +241,7 @@ module Reader = struct
         !bit
       in
       (* site stream: replays the writer's successor model *)
-      let next = Array.make (max 1 (2 * n_sites)) (-1) in
+      let next = Array.make (Int.max 1 (2 * n_sites)) (-1) in
       let spos = ref 0 in
       let prev = ref 0 and prev_taken = ref false and have_prev = ref false in
       let hits_left = ref (-1) in
@@ -327,7 +327,7 @@ module Reader = struct
          event — cached so the hit lookup and the training write share
          one computation; it is always in range for [next] because
          [prev] was range-checked when it was decoded. *)
-      let next = Array.make (max 1 (2 * n_sites)) (-1) in
+      let next = Array.make (Int.max 1 (2 * n_sites)) (-1) in
       let sp = t.sites_payload in
       let slen = String.length sp in
       let spos = ref 0 in
@@ -364,7 +364,7 @@ module Reader = struct
         end
         else read_varint tp tpos
       in
-      let cap = min chunk total in
+      let cap = Int.min chunk total in
       let st = Array.make cap 0 in
       let tk = Bytes.make cap '\000' in
       let rl = Array.make cap 0 in
@@ -378,7 +378,7 @@ module Reader = struct
             if r <= 0 then corrupt "empty taken run";
             left := r
           end;
-          let run = min !left (n - !i) in
+          let run = Int.min !left (n - !i) in
           let c = if !bit then '\001' else '\000' in
           (* short runs dominate some workloads; writing them inline
              avoids a C call per one-or-two-byte [Bytes.fill] *)
@@ -409,7 +409,7 @@ module Reader = struct
          chunk, and gap continuity carries across chunk boundaries — a
          stretch cut by a boundary restarts at the new chunk's head
          with its gap intact instead of paying the warm-up again. *)
-      let lastocc = Array.make (max 1 (2 * n_sites)) (-1) in
+      let lastocc = Array.make (Int.max 1 (2 * n_sites)) (-1) in
       let gbase = ref 0 in
       let fill_sites n =
         let h = ref 0 in
@@ -468,7 +468,7 @@ module Reader = struct
       in
       let remaining = ref total in
       while !remaining > 0 do
-        let n = min cap !remaining in
+        let n = Int.min cap !remaining in
         fill_taken n;
         fill_sites n;
         gbase := !gbase + n;

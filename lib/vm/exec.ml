@@ -79,7 +79,7 @@ let run ~(config : config) ~(mem : mem_cell array) (p : Program.t) ~iargs
     in
     (* block leaders: entry, every in-range control target, and the
        instruction after every terminator *)
-    let leader = Array.make (max 1 len) false in
+    let leader = Array.make (Int.max 1 len) false in
     if len > 0 then leader.(0) <- true;
     Array.iteri
       (fun pc insn ->
@@ -97,7 +97,7 @@ let run ~(config : config) ~(mem : mem_cell array) (p : Program.t) ~iargs
       Array.of_list !acc
     in
     let n_blocks = Array.length starts in
-    let bid_of = Array.make (max 1 len) (-1) in
+    let bid_of = Array.make (Int.max 1 len) (-1) in
     Array.iteri (fun b s -> bid_of.(s) <- b) starts;
     (* the block id a control transfer to [pc'] lands in, or -1 when the
        transfer must trap "pc out of range" at run time *)
@@ -432,7 +432,7 @@ let run ~(config : config) ~(mem : mem_cell array) (p : Program.t) ~iargs
            remaining fuel pays for (any of their traps fire first, as in
            the interpreter), then trap where the interpreter would *)
         let ops = b.b_ops in
-        let n = min f0 (Array.length ops) in
+        let n = Int.min f0 (Array.length ops) in
         for i = 0 to n - 1 do
           (Array.unsafe_get ops i) fm
         done;

@@ -112,7 +112,7 @@ module Gaps = struct
     g.last <- executed;
     let bucket =
       let rec log2 v acc = if v <= 1 then acc else log2 (v lsr 1) (acc + 1) in
-      min (gap_buckets - 1) (log2 (max gap 1) 0)
+      Int.min (gap_buckets - 1) (log2 (Int.max gap 1) 0)
     in
     g.hist.(bucket) <- g.hist.(bucket) + 1;
     g.count <- g.count + 1;

@@ -149,7 +149,7 @@ let run_interp ~(config : config) ~(mem : mem_cell array) (p : Program.t)
     | Fsin -> sin a
     | Fcos -> cos a
   in
-  let icmp_eval c a b =
+  let icmp_eval c (a : int) b =
     let r =
       match c with
       | Eq -> a = b

@@ -1,12 +1,12 @@
 (* The predictor zoo: qcheck surface properties every scheme must hold
    (determinism, clean reset, per-site tallies summing to the globals,
-   warm seeding that never crashes), the latent-bug regressions on the
-   dynamic-prediction path (Static/warm length validation, hook site
-   bounds), hand-evaluated cold/warm semantics of the new schemes, and
-   the tournament acceptance gate: profile warming never loses on
-   geomean mispredicts, store hit and miss replay bit-identically — and
-   the shared per-study replay: its memo contract, and its cold
-   simulators against inline VM hooks. *)
+   warm seeding that never crashes, the counter schemes against
+   textbook models), the latent-bug regressions on the dynamic-prediction
+   path (Static/warm length validation, hook site bounds), hand-evaluated
+   cold/warm semantics of the new schemes, and the tournament acceptance
+   gate: profile warming never loses on geomean mispredicts, store hit
+   and miss replay bit-identically — and the shared per-study replay: its
+   memo contract, and its cold simulators against inline VM hooks. *)
 
 module Dynamic = Fisher92_predict.Dynamic
 module Predictor = Fisher92_predict.Predictor
@@ -159,6 +159,66 @@ let prop_batched_loopy =
     Gen.(pair loopy_gen (int_range 1 64))
     (fun ((n_sites, evs), chunk) ->
       batched_equals_streaming ~n_sites ~chunk evs)
+
+(* ---------- the counter rules against textbook models ---------- *)
+
+(* Streaming and batched replay run one update rule per scheme, so they
+   would share a bug in it.  The counter schemes are therefore also
+   checked against models written here from the textbook definitions:
+   a 2-bit counter in [0, 3] predicts taken from 2 up and moves one step
+   toward each outcome, clamped at both ends; a 1-bit entry holds the
+   last outcome.  The schemes differ only in the entry an event uses:
+   its site (1-bit, 2-bit), its site modulo the table size (Smith), the
+   last [bits] outcomes (two-level), or those XOR the site (gshare). *)
+let model_bump c taken =
+  let c = if taken then c + 1 else c - 1 in
+  if c > 3 then 3 else if c < 0 then 0 else c
+
+let model_tallies scheme ~n_sites ~bits evs =
+  let size = 1 lsl bits in
+  let one_bit = match scheme with Dynamic.Last_direction -> true | _ -> false in
+  let index site hist =
+    match scheme with
+    | Dynamic.Smith _ -> site mod size
+    | Dynamic.Two_level _ -> hist
+    | Dynamic.Gshare _ -> (hist lxor site) mod size
+    | _ -> site
+  in
+  let table = Array.make (Int.max n_sites size) 0 and hist = ref 0 in
+  let correct = Array.make n_sites 0 and incorrect = Array.make n_sites 0 in
+  List.iter
+    (fun (site, taken) ->
+      let i = index site !hist in
+      let c = table.(i) in
+      let predicted = if one_bit then c = 1 else c >= 2 in
+      if predicted = taken then correct.(site) <- correct.(site) + 1
+      else incorrect.(site) <- incorrect.(site) + 1;
+      table.(i) <- (if one_bit then Bool.to_int taken else model_bump c taken);
+      hist := ((2 * !hist) + Bool.to_int taken) mod size)
+    evs;
+  (correct, incorrect)
+
+let prop_counters_match_models =
+  QCheck2.Test.make ~count:300 ~name:"counter rules == textbook models"
+    ~print:(fun ((n, evs), bits) ->
+      Printf.sprintf "n_sites=%d events=%d bits=%d" n (List.length evs) bits)
+    Gen.(
+      pair
+        (oneof [ map (fun (n, evs, _) -> (n, evs)) stream_gen; loopy_gen ])
+        (int_range 1 8))
+    (fun ((n_sites, evs), bits) ->
+      List.for_all
+        (fun scheme ->
+          let sim = Dynamic.simulate scheme ~n_sites (replay_of evs) in
+          (Dynamic.site_correct sim, Dynamic.site_incorrect sim)
+          = model_tallies scheme ~n_sites ~bits evs)
+        [
+          Dynamic.Last_direction;
+          Dynamic.Two_bit;
+          Dynamic.Smith { table_bits = bits };
+          Dynamic.Two_level { history_bits = bits };
+          Dynamic.Gshare { history_bits = bits };
+        ])
 
 (* ---------- pinned semantics: golden/zoo_streams.txt ---------- *)
 
@@ -621,6 +681,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_reset_clean;
           QCheck_alcotest.to_alcotest prop_warm_total;
           QCheck_alcotest.to_alcotest prop_smith_equals_twobit;
+          QCheck_alcotest.to_alcotest prop_counters_match_models;
         ] );
       ( "batched",
         [
