@@ -46,9 +46,9 @@ let find_workload name =
     Printf.eprintf "unknown program %S; try `fisher92 list`\n" name;
     exit 2
 
-(* A file or directory the user named that cannot be used is a usage
-   error, like an unknown program: one line naming it and exit 2, not a
-   backtrace. *)
+(* A file, directory or option value the user gave that cannot be used
+   is a usage error, like an unknown program: one line naming it and
+   exit 2, not a backtrace. *)
 let usage_error path reason =
   Printf.eprintf "fisher92: %s: %s\n" path reason;
   exit 2
@@ -58,6 +58,24 @@ let sys_error_reason msg =
   match String.rindex_opt msg ':' with
   | Some i -> String.trim (String.sub msg (i + 1) (String.length msg - i - 1))
   | None -> msg
+
+(* [--domains N] for every command that fans work over the domain pool.
+   The pool would clamp N below 1 to one domain; asking for that is a
+   usage error instead. *)
+let domains_term =
+  let check = function
+    | Some n when n < 1 ->
+      usage_error "--domains"
+        (Printf.sprintf "expected a positive integer, got %d" n)
+    | d -> d
+  in
+  Term.(
+    const check
+    $ Arg.(value & opt (some int) None
+           & info [ "domains" ] ~docv:"N"
+               ~doc:"Run over $(docv) worker domains (default: the \
+                     machine's recommended domain count, or \
+                     FISHER92_DOMAINS)"))
 
 (* ---- list ---- *)
 
@@ -281,17 +299,10 @@ let experiments_cmd =
              ~doc:"Print the per-workload compile/simulate/cache-hit timing \
                    table after the experiments")
   in
-  let domains =
-    Arg.(value & opt (some int) None
-         & info [ "domains" ] ~docv:"N"
-             ~doc:"Run the study over $(docv) domains (default: the \
-                   machine's recommended domain count, or \
-                   FISHER92_DOMAINS)")
-  in
   Cmd.v
     (Cmd.info "experiments"
        ~doc:"Regenerate the paper's tables and figures (all, or named sections)")
-    Term.(const run $ sections $ listing $ format $ timing $ domains)
+    Term.(const run $ sections $ listing $ format $ timing $ domains_term)
 
 (* ---- db ---- *)
 
@@ -1049,17 +1060,13 @@ let synth_charz_cmd =
     print_string (Table.render ~header:Charz.header rows)
   in
   let progs = Arg.(value & pos_all string [] & info [] ~docv:"PROGRAM") in
-  let domains =
-    Arg.(value & opt (some int) None
-         & info [ "domains" ] ~docv:"N" ~doc:"Study worker domains")
-  in
   Cmd.v
     (Cmd.info "charz"
        ~doc:
          "Characterize workloads (site counts, skew, entropy, static floor, \
           gshare recovery, H2P share, class). Defaults to the curated \
           synthetic set; any registered workload name is accepted.")
-    Term.(const run $ progs $ domains)
+    Term.(const run $ progs $ domains_term)
 
 let synth_sweep_cmd =
   let run seed variants domains cache format =
@@ -1099,10 +1106,6 @@ let synth_sweep_cmd =
          & info [ "variants" ] ~docv:"V"
              ~doc:"Structural variants per (template, bias, shift) cell")
   in
-  let domains =
-    Arg.(value & opt (some int) None
-         & info [ "domains" ] ~docv:"N" ~doc:"Worker domains for the sweep")
-  in
   let cache =
     Arg.(value & opt bool true
          & info [ "cache" ] ~docv:"BOOL"
@@ -1123,7 +1126,7 @@ let synth_sweep_cmd =
           roster, and print the per-class summary (or per-point TSV). \
           Deterministic for a given seed, regardless of domain count and \
           cache state.")
-    Term.(const run $ seed $ variants $ domains $ cache $ format)
+    Term.(const run $ seed $ variants $ domains_term $ cache $ format)
 
 let synth_curated_cmd =
   let run out =

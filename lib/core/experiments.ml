@@ -1495,8 +1495,8 @@ let render_static_proof rows =
 (* ------------------------------------------------------------------ *)
 (* Registry: every experiment, in the paper's presentation order.      *)
 (* This block is the single source of the section-name list — the CLI, *)
-(* the benchmark driver, the golden test and render_all all derive     *)
-(* from it.                                                            *)
+(* the golden test and render_all all derive from it.  perfbench names *)
+(* the ids itself, so that a section removed later reads 0 there.      *)
 (* ------------------------------------------------------------------ *)
 
 let fcell = Experiment.fcell

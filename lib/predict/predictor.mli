@@ -82,7 +82,8 @@ val summary_family : unit -> t list
     tournament races — each sharing [Dynamic]'s
     [simulate]/[reset_counts]/per-site-tally surface — is one
     {!dynamic_spec}, so the tournament experiment, [fisher92 trace sim
-    --scheme] and the tracebench derive their rosters from one list. *)
+    --scheme] and the benchmark's replay workloads derive their rosters
+    from one list. *)
 
 type dynamic_spec = {
   d_name : string;  (** registry key, e.g. ["gshare"] *)

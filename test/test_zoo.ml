@@ -6,7 +6,8 @@
    cold/warm semantics of the new schemes, and the tournament acceptance
    gate: profile warming never loses on geomean mispredicts, store hit
    and miss replay bit-identically — and the shared per-study replay: its
-   memo contract, and its cold simulators against inline VM hooks. *)
+   memo contract, and its cold and warm simulators against inline VM
+   hooks. *)
 
 module Dynamic = Fisher92_predict.Dynamic
 module Predictor = Fisher92_predict.Predictor
@@ -613,20 +614,42 @@ let test_shared_memo () =
        (Tracing.shared b)
     = List.map (fun (_, _, races) -> race_tallies races) unmemoized)
 
-(* 1-bit and 2-bit driven inline by the VM's [on_branch] hook over
-   every registry workload's first dataset must tally exactly what the
-   shared replay's cold simulators report — the numbers the [dynamic]
-   section renders. *)
+(* 1-bit and every zoo scheme, cold and profile-warmed, driven inline
+   by the VM's [on_branch] hook over every registry workload's first
+   dataset — thirteen simulators on one VM run — must tally exactly,
+   per site, what the shared replay's batched simulators report: the
+   numbers the five predictor sections render. *)
 let test_inline_hook_oracle () =
   let study = Fisher92.Study.load () in
   List.iter
     (fun (s : Tracing.shared) ->
       let l = s.sh_loaded in
       let n_sites = Fisher92_ir.Program.n_sites l.ir in
-      let inline =
-        List.map
-          (fun scheme -> (scheme, Dynamic.create scheme ~n_sites))
-          [ Dynamic.Last_direction; Dynamic.Two_bit ]
+      let warm = Tracing.warm_prediction l in
+      let label scheme mode =
+        String.concat " "
+          [ l.workload.Workload.w_name; Dynamic.scheme_name scheme; mode ]
+      in
+      let pairs =
+        ( label Dynamic.Last_direction "cold",
+          Dynamic.create Dynamic.Last_direction ~n_sites,
+          Tracing.cold s Dynamic.Last_direction )
+        :: List.concat_map
+             (fun scheme ->
+               let rc =
+                 List.find
+                   (fun (rc : Tracing.raced) -> rc.rc_scheme = scheme)
+                   s.sh_races
+               in
+               [
+                 ( label scheme "cold",
+                   Dynamic.create scheme ~n_sites,
+                   rc.rc_cold );
+                 ( label scheme "warm",
+                   Dynamic.create ~warm scheme ~n_sites,
+                   rc.rc_warm );
+               ])
+             (Tracing.zoo_schemes ())
       in
       let config =
         {
@@ -634,7 +657,9 @@ let test_inline_hook_oracle () =
           on_branch =
             Some
               (fun site taken ->
-                List.iter (fun (_, sim) -> Dynamic.hook sim site taken) inline);
+                List.iter
+                  (fun (_, sim, _) -> Dynamic.hook sim site taken)
+                  pairs);
         }
       in
       let (_ : Fisher92_vm.Vm.result) =
@@ -643,11 +668,7 @@ let test_inline_hook_oracle () =
           ~config ()
       in
       List.iter
-        (fun (scheme, sim) ->
-          let what =
-            l.workload.Workload.w_name ^ " " ^ Dynamic.scheme_name scheme
-          in
-          let replayed = Tracing.cold s scheme in
+        (fun (what, sim, replayed) ->
           Alcotest.(check (pair int int))
             (what ^ " correct/incorrect")
             (Dynamic.correct sim, Dynamic.incorrect sim)
@@ -660,7 +681,7 @@ let test_inline_hook_oracle () =
             (what ^ " per-site incorrect")
             (Dynamic.site_incorrect sim)
             (Dynamic.site_incorrect replayed))
-        inline)
+        pairs)
     (Tracing.shared study)
 
 (* ---------- run ---------- *)
