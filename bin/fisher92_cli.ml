@@ -59,18 +59,19 @@ let sys_error_reason msg =
   | Some i -> String.trim (String.sub msg (i + 1) (String.length msg - i - 1))
   | None -> msg
 
+(* A count option ([--domains], [--variants], [--count]) below 1 is a
+   usage error, not an empty run or a crash. *)
+let positive opt n =
+  if n < 1 then
+    usage_error opt (Printf.sprintf "expected a positive integer, got %d" n);
+  n
+
 (* [--domains N] for every command that fans work over the domain pool.
    The pool would clamp N below 1 to one domain; asking for that is a
    usage error instead. *)
 let domains_term =
-  let check = function
-    | Some n when n < 1 ->
-      usage_error "--domains"
-        (Printf.sprintf "expected a positive integer, got %d" n)
-    | d -> d
-  in
   Term.(
-    const check
+    const (Option.map (positive "--domains"))
     $ Arg.(value & opt (some int) None
            & info [ "domains" ] ~docv:"N"
                ~doc:"Run over $(docv) worker domains (default: the \
@@ -454,8 +455,7 @@ let trace_cmd =
     let run prog dataset output =
       let w, ir, d = resolve prog dataset in
       let wr = Tracing.record ~ir ~program:w.w_name d in
-      Trace.Store.save wr;
-      let text = Trace.Writer.render wr in
+      let text = Trace.Store.save wr in
       (match output with
       | None -> ()
       | Some path ->
@@ -1011,8 +1011,10 @@ let synth_gen_cmd =
              ~doc:"Base seed; program $(i,k) of the batch uses seed N+k")
   in
   let count =
-    Arg.(value & opt int 1
-         & info [ "count" ] ~docv:"K" ~doc:"How many programs to generate")
+    Term.(
+      const (positive "--count")
+      $ Arg.(value & opt int 1
+             & info [ "count" ] ~docv:"K" ~doc:"How many programs to generate"))
   in
   let template =
     let tconv =
@@ -1102,9 +1104,11 @@ let synth_sweep_cmd =
          & info [ "seed" ] ~docv:"N" ~doc:"Grid seed")
   in
   let variants =
-    Arg.(value & opt int 5
-         & info [ "variants" ] ~docv:"V"
-             ~doc:"Structural variants per (template, bias, shift) cell")
+    Term.(
+      const (positive "--variants")
+      $ Arg.(value & opt int 5
+             & info [ "variants" ] ~docv:"V"
+                 ~doc:"Structural variants per (template, bias, shift) cell"))
   in
   let cache =
     Arg.(value & opt bool true

@@ -8,11 +8,12 @@ let pinf = max_int
 let top = { lo = ninf; hi = pinf }
 let const k = { lo = k; hi = k }
 let is_const i = if i.lo = i.hi && i.lo <> ninf && i.lo <> pinf then Some i.lo else None
+let is_zero i = i.lo = 0 && i.hi = 0
 let mem v i = i.lo <= v && v <= i.hi
-let join a b = { lo = min a.lo b.lo; hi = max a.hi b.hi }
+let join a b = { lo = Int.min a.lo b.lo; hi = Int.max a.hi b.hi }
 
 let inter a b =
-  let lo = max a.lo b.lo and hi = min a.hi b.hi in
+  let lo = Int.max a.lo b.lo and hi = Int.min a.hi b.hi in
   if lo <= hi then Some { lo; hi } else None
 
 let to_string i =
@@ -58,7 +59,7 @@ let mul_exact a b =
     if p / a = b && p <> ninf && p <> pinf then Some p else None
 
 let mul a b =
-  if is_const a = Some 0 || is_const b = Some 0 then const 0
+  if is_zero a || is_zero b then const 0
   else if not (finite a && finite b) then top
   else
     match
@@ -66,16 +67,19 @@ let mul a b =
         mul_exact a.hi b.hi )
     with
     | Some p1, Some p2, Some p3, Some p4 ->
-      { lo = min (min p1 p2) (min p3 p4); hi = max (max p1 p2) (max p3 p4) }
+      {
+        lo = Int.min (Int.min p1 p2) (Int.min p3 p4);
+        hi = Int.max (Int.max p1 p2) (Int.max p3 p4);
+      }
     | _ -> top
 
 (* min/max never overflow; the sentinels are extremal, so plain integer
    min/max on the bounds is exact. *)
-let imin a b = { lo = min a.lo b.lo; hi = min a.hi b.hi }
-let imax a b = { lo = max a.lo b.lo; hi = max a.hi b.hi }
+let imin a b = { lo = Int.min a.lo b.lo; hi = Int.min a.hi b.hi }
+let imax a b = { lo = Int.max a.lo b.lo; hi = Int.max a.hi b.hi }
 
 let inot a =
-  if is_const a = Some 0 then const 1
+  if is_zero a then const 1
   else if not (mem 0 a) then const 0
   else { lo = 0; hi = 1 }
 
@@ -95,7 +99,7 @@ let cmp_always c a b =
   | I.Eq -> ( match (is_const a, is_const b) with
     | Some x, Some y -> x = y
     | _ -> false)
-  | I.Ne -> inter a b = None
+  | I.Ne -> Option.is_none (inter a b)
   | I.Lt -> a.hi < b.lo
   | I.Le -> a.hi <= b.lo
   | I.Gt -> b.hi < a.lo
@@ -133,7 +137,7 @@ let transfer (env : interval array) insn =
   | I.Select (d, c, a, b) ->
     env.(d) <-
       (if not (mem 0 env.(c)) then env.(a)
-       else if is_const env.(c) = Some 0 then env.(b)
+       else if is_zero env.(c) then env.(b)
        else join env.(a) env.(b))
   | I.Call { dst = I.Int_dest d; _ } | I.Callind { dst = I.Int_dest d; _ } ->
     env.(d) <- top
@@ -193,15 +197,16 @@ let at_most k = { lo = ninf; hi = k }
 let at_least k = { lo = k; hi = pinf }
 
 let nonzero i =
-  if is_const i = Some 0 then raise Empty
+  if is_zero i then raise Empty
   else
     let lo = if i.lo = 0 then 1 else i.lo in
     let hi = if i.hi = 0 then -1 else i.hi in
     if lo <= hi then { lo; hi } else raise Empty
 
 let exclude v i =
-  if is_const i = Some v then raise Empty
-  else
+  match is_const i with
+  | Some c when c = v -> raise Empty
+  | _ ->
     let lo = if i.lo = v then v + 1 else i.lo in
     let hi = if i.hi = v then v - 1 else i.hi in
     if lo <= hi then { lo; hi } else i
@@ -256,9 +261,13 @@ type t = {
 let widen_after = 8
 let hard_cap = 64
 
-let env_eq a b =
+(* [a] within [b] register by register: exactly when joining [a] into
+   [b] leaves [b] unchanged. *)
+let env_within a b =
   let n = Array.length a in
-  let rec go r = r >= n || (a.(r).lo = b.(r).lo && a.(r).hi = b.(r).hi && go (r + 1)) in
+  let rec go r =
+    r >= n || (b.(r).lo <= a.(r).lo && a.(r).hi <= b.(r).hi && go (r + 1))
+  in
   go 0
 
 let widen old inc =
@@ -299,8 +308,8 @@ let analyze (f : P.func) (cfg : Cfg.t) (_dom : Dom.t) (loops : Loops.t) =
       rt_in.(dst) <- Some (Array.copy env);
       enqueue dst
     | Some cur ->
-      let joined = Array.map2 join cur env in
-      if not (env_eq joined cur) then begin
+      if not (env_within env cur) then begin
+        let joined = Array.map2 join cur env in
         updates.(dst) <- updates.(dst) + 1;
         let next =
           if
@@ -342,7 +351,7 @@ let analyze (f : P.func) (cfg : Cfg.t) (_dom : Dom.t) (loops : Loops.t) =
   done;
   { rt_func = f; rt_cfg = cfg; rt_in; rt_edges }
 
-let executable t b = t.rt_in.(b) <> None
+let executable t b = Option.is_some t.rt_in.(b)
 
 let env_at t ~pc =
   let b = t.rt_cfg.Cfg.blocks.(t.rt_cfg.Cfg.block_of_pc.(pc)) in

@@ -69,7 +69,10 @@ let load_timed ?workloads ?domains ?cache ?progress () =
       (fun (w : Workload.t) ->
         let t0 = now () in
         let ir = compile_variant w in
-        let fp = Fingerprint.program_hash ir in
+        (* the fingerprint is only a study-cache key *)
+        let fp =
+          if use_cache then Some (Fingerprint.program_hash ir) else None
+        in
         let seconds = now () -. t0 in
         emit (Compiled { workload = w.w_name; seconds });
         (w, ir, fp, seconds))
@@ -87,11 +90,11 @@ let load_timed ?workloads ?domains ?cache ?progress () =
     Pool.map ?domains
       (fun ((w : Workload.t), ir, fp, (d : Workload.dataset)) ->
         let t0 = now () in
-        let n_sites = Fisher92_ir.Program.n_sites ir in
         let cached_run =
-          if use_cache then
-            Study_cache.lookup ~fingerprint:fp ~n_sites ~program:w.w_name d
-          else None
+          Option.bind fp (fun fingerprint ->
+              Study_cache.lookup ~fingerprint
+                ~n_sites:(Fisher92_ir.Program.n_sites ir)
+                ~program:w.w_name d)
         in
         let run, cached =
           match cached_run with
@@ -101,7 +104,9 @@ let load_timed ?workloads ?domains ?cache ?progress () =
             let run =
               Measure.of_result ~program:w.w_name ~dataset:d.ds_name result
             in
-            if use_cache then Study_cache.store ~fingerprint:fp d run;
+            Option.iter
+              (fun fingerprint -> Study_cache.store ~fingerprint d run)
+              fp;
             (run, false)
         in
         let seconds = now () -. t0 in

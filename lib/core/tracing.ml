@@ -34,11 +34,14 @@ let obtain ?(store = true) ~ir ~program (d : Workload.dataset) =
   | Some reader -> { reader; from_store = true }
   | None ->
     let w = record ~ir ~program d in
-    if use_store then Trace.Store.save w;
     (* Round-tripping through the codec (rather than keeping the event
        list) means the store-hit and store-miss paths replay the exact
-       same decoder output. *)
-    { reader = Trace.Reader.of_string (Trace.Writer.render w); from_store = false }
+       same decoder output.  The one rendering is also what the store
+       writes. *)
+    let text =
+      if use_store then Trace.Store.save w else Trace.Writer.render w
+    in
+    { reader = Trace.Reader.of_string text; from_store = false }
 
 let warm_prediction (l : Study.loaded) =
   let module Db = Fisher92_profile.Db in

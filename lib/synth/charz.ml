@@ -1,6 +1,7 @@
 open Fisher92_util
 module Profile = Fisher92_profile.Profile
 module Dynamic = Fisher92_predict.Dynamic
+module Vm = Fisher92_vm.Vm
 module Heuristic = Fisher92_predict.Heuristic
 module Sitestats = Fisher92_metrics.Sitestats
 module Measure = Fisher92_metrics.Measure
@@ -132,18 +133,21 @@ let characterize (loaded : Fisher92.Study.loaded) =
     Profile.sum (List.map (fun r -> r.Measure.profile) loaded.Fisher92.Study.runs)
   in
   let n = Profile.n_sites profile in
-  let w = loaded.Fisher92.Study.workload in
   let site_correct, site_incorrect =
-    match w.Fisher92_workloads.Workload.w_datasets with
+    match
+      loaded.Fisher92.Study.workload.Fisher92_workloads.Workload.w_datasets
+    with
     | [] -> (Array.make n 0, Array.make n 0)
     | ds :: _ ->
-      let obt =
-        Fisher92.Tracing.obtain ~ir:loaded.Fisher92.Study.ir
-          ~program:w.Fisher92_workloads.Workload.w_name ds
-      in
+      (* gshare rides the VM's branch hook: one execution of the first
+         dataset, no trace captured; inline tallies equal a replay of
+         the captured stream bit for bit. *)
       let sim =
-        Dynamic.simulate_runs gshare_scheme ~n_sites:n
-          (Fisher92.Tracing.Trace.Reader.iter_runs obt.Fisher92.Tracing.reader)
+        Dynamic.simulate gshare_scheme ~n_sites:n (fun hook ->
+            let config = { Vm.default_config with on_branch = Some hook } in
+            ignore
+              (Fisher92.Study.execute loaded.Fisher92.Study.ir ds ~config ()
+                : Vm.result))
       in
       (Dynamic.site_correct sim, Dynamic.site_incorrect sim)
   in

@@ -6,12 +6,11 @@
     The metrics come from two sources: the branch {e profile} (summed
     over every dataset of the workload — static site counts, dynamic
     branch counts, taken-rate skew, branch entropy, the best static
-    miss-rate floor) and a {e cold gshare simulation} over the first
-    dataset's recorded trace (how much of the remaining unpredictability
-    a history predictor recovers, and which sites are
-    hard-to-predict).  [of_counts] is the pure core over raw counters —
-    unit-testable on hand-built profiles — and [characterize] the
-    study/trace wrapper. *)
+    miss-rate floor) and a {e cold gshare simulation} run inline on the
+    first dataset (how much of the remaining unpredictability a history
+    predictor recovers, and which sites are hard-to-predict).
+    [of_counts] is the pure core over raw counters — unit-testable on
+    hand-built profiles — and [characterize] the study/VM wrapper. *)
 
 (** Predictability classes, in rendering order.  The thresholds are
     placed against the default sweep's observed metric distribution (see
@@ -73,8 +72,10 @@ val gshare_scheme : Fisher92_predict.Dynamic.scheme
 
 val characterize : Fisher92.Study.loaded -> t
 (** Characterize a loaded workload: profile summed over all its runs,
-    gshare simulated over the first dataset's trace (through the trace
-    store), opinions from the measured build. *)
+    gshare simulated as the VM's [on_branch] hook on one execution of
+    the first dataset (no trace is captured or stored; the tallies equal
+    a replay of that dataset's trace bit for bit), opinions from the
+    measured build. *)
 
 val header : string list
 (** Table header for per-workload characterization rows. *)

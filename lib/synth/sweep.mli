@@ -1,8 +1,7 @@
 (** The sharded generator sweep: fan a parameter grid over the Domain
-    pool, run every generated workload through the study + trace
-    machinery and the static/profile/heuristic predictor roster,
-    characterize each one, and merge per-class results
-    deterministically.
+    pool, run every generated workload through the study machinery and
+    the static/profile/heuristic predictor roster, characterize each
+    one, and merge per-class results deterministically.
 
     The shape follows the sharded permutation-sweep pattern named in the
     roadmap: the grid is fixed up front, each point is an independent
@@ -11,8 +10,9 @@
     characterize-and-predict fan-out), and results are merged by task
     index — so the output is byte-identical for any worker count and any
     cache state, and repeated runs with the same seed grid reproduce
-    byte-for-byte.  Compiled runs persist through the study cache and
-    branch traces through the trace store, making warm reruns cheap.
+    byte-for-byte.  Compiled runs persist through the study cache,
+    making warm reruns cheap; characterization runs its gshare inline
+    on the VM, so a sweep captures and stores no branch traces.
 
     Registered in the experiment registry as [synthpool] (the per-class
     table plus the failure tail); this module's initialization performs

@@ -517,6 +517,7 @@ module Store = struct
           else None)
 
   let save (w : Writer.t) =
+    let text = Writer.render w in
     if enabled () then begin
       (* Best-effort: a read-only or vanished store directory must never
          fail the caller, so every syscall error is swallowed here. *)
@@ -526,9 +527,10 @@ module Store = struct
           ~path:
             (path ~program:w.Writer.program ~fingerprint:w.Writer.fingerprint
                ~dshash:w.Writer.dshash)
-          ~tmp_prefix:"trace" (Writer.render w)
+          ~tmp_prefix:"trace" text
       with Sys_error _ -> ()
-    end
+    end;
+    text
 
   let clear () =
     match Sys.readdir (dir ()) with

@@ -158,9 +158,11 @@ module Store : sig
       damaged, or recorded against a different build, dataset, or site
       count.  Never raises. *)
 
-  val save : Writer.t -> unit
-  (** Persist one trace (atomic write).  Best-effort: an unwritable
-      store directory is ignored, never fatal. *)
+  val save : Writer.t -> string
+  (** Persist one trace (atomic write) and return its rendered text, so
+      a caller that also replays the capture renders it once.
+      Best-effort: an unwritable store directory is ignored, never
+      fatal. *)
 
   val clear : unit -> unit
   (** Remove every stored trace (used by the benchmark's cold runs). *)

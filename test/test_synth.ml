@@ -6,9 +6,12 @@
    - determinism: the same (params, seed) yields byte-identical MiniC
      source and bit-identical datasets;
    - characterization: metric units on hand-built profiles with known
-     entropy/skew, and class binning on synthetic count patterns;
-   - sweep: domains=1 and domains=4 render byte-identically, and a
-     warm-cache rerun reproduces the cold render. *)
+     entropy/skew, class binning on synthetic count patterns, and the
+     inline gshare hook agreeing exactly with a replay of the recorded
+     first-dataset trace;
+   - sweep: domains=1 and domains=4 render byte-identically, a
+     warm-cache rerun reproduces the cold render, and no run writes to
+     the trace store. *)
 
 module Gen = Fisher92_synth.Gen
 module Charz = Fisher92_synth.Charz
@@ -21,6 +24,26 @@ module Pp = Fisher92_minic.Pp
 module Lint = Fisher92_analysis.Lint
 module Profile = Fisher92_profile.Profile
 module Vm = Fisher92_vm.Vm
+module Dynamic = Fisher92_predict.Dynamic
+module Heuristic = Fisher92_predict.Heuristic
+module Measure = Fisher92_metrics.Measure
+module Trace = Fisher92_trace.Trace
+module Study = Fisher92.Study
+module Tracing = Fisher92.Tracing
+
+(* The suite owns a private trace store, enabled whatever the
+   surrounding environment says, so the sweep test can check that
+   nothing was written to it. *)
+let trace_dir =
+  let d = Filename.temp_file "f92synth" ".traces" in
+  Sys.remove d;
+  Unix.mkdir d 0o700;
+  at_exit (fun () -> try Sys.rmdir d with Sys_error _ -> ());
+  d
+
+let () =
+  Unix.putenv "FISHER92_TRACE_DIR" trace_dir;
+  Unix.putenv "FISHER92_NO_TRACE" ""
 
 (* qcheck generator over the parameter space, kept within the sweep's
    own envelope so the property runs fast. *)
@@ -170,16 +193,75 @@ let test_charz_classes () =
 
 let small_grid seed = Sweep.grid ~seed ~variants:1 ()
 
+(* [Charz.characterize] runs gshare as the VM's branch hook.  Replaying
+   the recorded first-dataset trace through a cold gshare instead must
+   characterize every curated pick and grid point identically, floats
+   bit for bit. *)
+let test_charz_inline_replay () =
+  let study =
+    Study.load
+      ~workloads:(Curated.all () @ Sweep.workloads (small_grid 7))
+      ~cache:false ()
+  in
+  List.iter
+    (fun (l : Study.loaded) ->
+      let name = l.workload.Workload.w_name in
+      let profile =
+        Profile.sum (List.map (fun r -> r.Measure.profile) l.runs)
+      in
+      let trace =
+        Tracing.record ~ir:l.ir ~program:name
+          (List.hd l.workload.Workload.w_datasets)
+      in
+      let sim =
+        Dynamic.simulate_runs Charz.gshare_scheme
+          ~n_sites:(Profile.n_sites profile)
+          (Trace.Reader.iter_runs
+             (Trace.Reader.of_string (Trace.Writer.render trace)))
+      in
+      let replayed =
+        Charz.of_counts ~profile ~site_correct:(Dynamic.site_correct sim)
+          ~site_incorrect:(Dynamic.site_incorrect sim)
+          ~opinions:(Heuristic.ball_larus_opinions l.ir)
+      in
+      let inline = Charz.characterize l in
+      let int what f =
+        Alcotest.(check int) (name ^ " " ^ what) (f replayed) (f inline)
+      in
+      let float what f =
+        Alcotest.(check (float 0.0))
+          (name ^ " " ^ what) (f replayed) (f inline)
+      in
+      int "sites" (fun c -> c.Charz.ch_sites);
+      int "covered" (fun c -> c.Charz.ch_covered);
+      int "dyn" (fun c -> c.Charz.ch_dyn);
+      float "taken" (fun c -> c.Charz.ch_taken_pct);
+      float "skew" (fun c -> c.Charz.ch_skew);
+      float "entropy" (fun c -> c.Charz.ch_entropy);
+      float "floor" (fun c -> c.Charz.ch_floor_pct);
+      int "sim dyn" (fun c -> c.Charz.ch_sim_dyn);
+      float "gshare" (fun c -> c.Charz.ch_gshare_pct);
+      int "h2p sites" (fun c -> c.Charz.ch_h2p_sites);
+      float "h2p share" (fun c -> c.Charz.ch_h2p_share);
+      float "heur cov" (fun c -> c.Charz.ch_heur_pct);
+      Alcotest.(check string) (name ^ " class")
+        (Charz.cls_name replayed.Charz.ch_class)
+        (Charz.cls_name inline.Charz.ch_class))
+    (Study.items study)
+
 (* The sweep renders identically at domains=1 and domains=4, and a
-   second (warm-cache, warm trace store) run reproduces the first
-   byte-for-byte. *)
+   second (warm-cache) run reproduces the first byte-for-byte.  None of
+   the runs captures a trace, so the suite's enabled store stays
+   empty. *)
 let test_sweep_determinism () =
   let render domains =
     Sweep.render (Sweep.run ~domains ~items:(small_grid 7) ())
   in
   let one = render 1 in
   Alcotest.(check string) "domains=1 = domains=4" one (render 4);
-  Alcotest.(check string) "warm rerun is identical" one (render 2)
+  Alcotest.(check string) "warm rerun is identical" one (render 2);
+  Alcotest.(check (array string)) "no files in the trace store" [||]
+    (Sys.readdir trace_dir)
 
 let test_curated_registered () =
   Curated.ensure_registered ();
@@ -222,6 +304,8 @@ let () =
           Alcotest.test_case "metric units" `Quick test_charz_units;
           Alcotest.test_case "h2p definition" `Quick test_charz_h2p;
           Alcotest.test_case "class binning" `Quick test_charz_classes;
+          Alcotest.test_case "inline gshare = trace replay" `Quick
+            test_charz_inline_replay;
         ] );
       ( "sweep",
         [ Alcotest.test_case "deterministic" `Slow test_sweep_determinism ] );
