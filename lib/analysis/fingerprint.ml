@@ -150,3 +150,12 @@ let program_hash (prog : P.t) =
              Printf.sprintf "%d@%d:%s" s.s_func s.s_pc s.s_label))
   in
   Fnv.hash_strings parts
+
+(* The marshalled bytes of the program are a canonical serialization of
+   every field: the IR is plain acyclic data (no closures, no custom
+   blocks), and [No_sharing] makes the bytes depend on structure alone,
+   not on which equal strings the compiler happened to share.  Marshal's
+   format may change between OCaml releases; that only turns a stored
+   entry into a miss. *)
+let content_hash (prog : P.t) =
+  Fnv.to_hex (Fnv.hash (Marshal.to_string prog [ Marshal.No_sharing ]))

@@ -13,7 +13,9 @@
       new build;
     - a {b program fingerprint}, a 64-bit structural hash of the compiled
       IR, stored in the database header so that staleness is detected
-      instead of silently mis-feeding counters into the wrong branches. *)
+      instead of silently mis-feeding counters into the wrong branches;
+    - a {b content hash} of the whole build, the key of the stores that
+      keep a run's results ({!content_hash}). *)
 
 type site_fp = {
   fp_func : string;  (** enclosing function name *)
@@ -51,4 +53,18 @@ val match_key : string -> string
 val program_hash : Fisher92_ir.Program.t -> string
 (** 16-hex-digit structural hash over the function inventory and every
     site's position and fingerprint.  Any recompile that moves, adds or
-    removes a branch site changes it. *)
+    removes a branch site changes it.  It deliberately ignores operands
+    and immediates, so an edit that changes what a run computes without
+    moving a site keeps it: it is the identity that profile databases,
+    remapping and ingest match counters by, not a key for stored run
+    results. *)
+
+val content_hash : Fisher92_ir.Program.t -> string
+(** 16-hex-digit FNV-1a over the whole build: every instruction with its
+    operands and immediates, every array declaration (name, class, size,
+    initial value), every site entry, the function table and the entry
+    point.  Two builds with equal content hashes execute identically on
+    every dataset, so the study cache and the trace store key their
+    entries on it: editing one constant misses, while a variant build
+    that comes out identical to the measured one (a DCE or inlining pass
+    that changed nothing) shares its entries. *)

@@ -19,6 +19,17 @@ module Pool = Fisher92_util.Pool
 
 let lang_of (l : Study.loaded) = l.workload.Workload.w_lang
 
+(* [ir], a variant build of [l]'s workload (DCE, inlined, switch-sorted,
+   mutated), measured on its first dataset — through the study cache
+   when [l] was loaded through it, keyed on the variant's content hash
+   and the dataset hash that load computed. *)
+let variant_run (l : Study.loaded) ir =
+  let dshash = Study.first_dshash l in
+  fst
+    (Study.measure ~cache:(Option.is_some dshash) ?dshash
+       ~program:l.workload.w_name ir
+       (List.hd l.workload.w_datasets))
+
 (* ------------------------------------------------------------------ *)
 (* Figure 1                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -199,15 +210,13 @@ let table1 study =
   Pool.map
     (fun (l : Study.loaded) ->
       let w = l.workload in
-      let dataset = List.hd w.w_datasets in
       let raw =
         match l.runs with
         | run :: _ -> run.counts.instructions
         | [] -> invalid_arg "table1: no runs"
       in
-      let dce_ir = Study.compile_variant ~dce:true w in
-      let dce_run = Study.execute dce_ir dataset () in
-      let dce_insns = (Breaks.of_result dce_run).instructions in
+      let dce_run = variant_run l (Study.compile_variant ~dce:true w) in
+      let dce_insns = dce_run.counts.instructions in
       {
         t1_program = w.w_name;
         t1_dead_pct = 100.0 *. (1.0 -. (float_of_int dce_insns /. float_of_int raw));
@@ -539,7 +548,7 @@ let dynamic study =
     (fun (s : Tracing.shared) ->
       let l = s.sh_loaded in
       let run = List.hd l.runs in
-      let pct scheme = Dynamic.percent_correct (Tracing.cold s scheme) in
+      let pct scheme = Tracing.percent_correct (Tracing.cold s scheme) in
       {
         dy_program = l.workload.w_name;
         dy_dataset = run.dataset;
@@ -605,7 +614,7 @@ let dynsim study =
           List.map
             (fun scheme ->
               ( Dynamic.scheme_name scheme,
-                Dynamic.percent_correct (Tracing.cold s scheme) ))
+                Tracing.percent_correct (Tracing.cold s scheme) ))
             (dynsim_schemes ());
       })
     (Tracing.shared study)
@@ -665,9 +674,8 @@ type bucket = Always | Mostly | History | Hard
 (* Every covered site of [run] with its bucket: one direction only,
    >= 95% biased, >= 90% predicted by [gshare] (which replayed [run]'s
    own trace), or hard. *)
-let site_buckets (run : Measure.run) gshare =
-  let sc = Dynamic.site_correct gshare
-  and si = Dynamic.site_incorrect gshare in
+let site_buckets (run : Measure.run) (gshare : Tracing.tally) =
+  let sc = gshare.site_correct and si = gshare.site_incorrect in
   let tak = run.profile.Profile.taken in
   List.filter_map
     (fun (s, n) ->
@@ -753,17 +761,17 @@ let tournament study =
       let run = List.hd l.runs in
       let instrs = run.counts.Breaks.instructions in
       let ipm t =
-        Breaks.per_break ~instructions:instrs ~breaks:(Dynamic.incorrect t)
+        Breaks.per_break ~instructions:instrs ~breaks:(Tracing.incorrect t)
       in
       List.map
         (fun (rc : Tracing.raced) ->
           {
             tn_program = l.workload.w_name;
             tn_scheme = Dynamic.scheme_name rc.rc_scheme;
-            tn_cold_pct = Dynamic.percent_correct rc.rc_cold;
-            tn_warm_pct = Dynamic.percent_correct rc.rc_warm;
-            tn_cold_mr = Dynamic.incorrect rc.rc_cold;
-            tn_warm_mr = Dynamic.incorrect rc.rc_warm;
+            tn_cold_pct = Tracing.percent_correct rc.rc_cold;
+            tn_warm_pct = Tracing.percent_correct rc.rc_warm;
+            tn_cold_mr = Tracing.incorrect rc.rc_cold;
+            tn_warm_mr = Tracing.incorrect rc.rc_warm;
             tn_cold_ipm = ipm rc.rc_cold;
             tn_warm_ipm = ipm rc.rc_warm;
           })
@@ -862,8 +870,8 @@ let h2p study =
           List.map
             (fun (rc : Tracing.raced) ->
               ( Dynamic.scheme_name rc.rc_scheme,
-                at_sites (Dynamic.site_incorrect rc.rc_cold),
-                at_sites (Dynamic.site_incorrect rc.rc_warm) ))
+                at_sites rc.rc_cold.site_incorrect,
+                at_sites rc.rc_warm.site_incorrect ))
             s.sh_races;
       })
     (Tracing.shared study)
@@ -921,10 +929,9 @@ let inline_ablation study =
   Pool.map
     (fun (l : Study.loaded) ->
       let run = List.hd l.runs in
-      let dataset = List.hd l.workload.w_datasets in
-      let inl_ir = Study.compile_variant ~inline:true l.workload in
-      let inl_result = Study.execute inl_ir dataset () in
-      let inl_counts = Breaks.of_result inl_result in
+      let inl_counts =
+        (variant_run l (Study.compile_variant ~inline:true l.workload)).counts
+      in
       let base_calls = run.counts.direct_call_ret in
       let removed =
         if base_calls = 0 then 0.0
@@ -1070,7 +1077,6 @@ let switchsort study =
   Pool.map
     (fun (l : Study.loaded) ->
       let run = List.hd l.runs in
-      let dataset = List.hd l.workload.w_datasets in
       let heat = case_heat l.ir run.profile in
       let options =
         {
@@ -1081,11 +1087,7 @@ let switchsort study =
       let sorted_ir =
         Fisher92_minic.Compile.compile ~options l.workload.w_program
       in
-      let sorted_result = Study.execute sorted_ir dataset () in
-      let sorted_run =
-        Measure.of_result ~program:l.workload.w_name ~dataset:run.dataset
-          sorted_result
-      in
+      let sorted_run = variant_run l sorted_ir in
       let base = run.counts.instructions in
       let sorted = sorted_run.counts.instructions in
       {
@@ -1320,10 +1322,7 @@ let staleness study =
       let mutated = { w with Workload.w_program = mutate_source w.w_program } in
       let mir = Study.compile_variant mutated in
       let d = List.hd w.w_datasets in
-      let run =
-        Measure.of_result ~program:w.w_name ~dataset:d.ds_name
-          (Study.execute mir d ())
-      in
+      let run = variant_run l mir in
       (* one extra [Remap.plan] beyond the registered predictor's own
          call — cheap static analysis, and the provenance counts are
          not part of the predictor interface *)

@@ -10,6 +10,7 @@ type loaded = {
   workload : Workload.t;
   ir : Fisher92_ir.Program.t;
   runs : Measure.run list;
+  dshashes : string list;
 }
 
 type t = { items : loaded list }
@@ -38,6 +39,42 @@ let execute ir (d : Workload.dataset) ?config () =
   Vm.run ?config ir ~iargs:d.ds_iargs ~fargs:d.ds_fargs ~arrays:d.ds_arrays
 
 let now () = Unix.gettimeofday ()
+
+(* The lookup -> execute -> store round-trip for one (build, dataset)
+   key.  The keys are only hashed when the cache is in use. *)
+let measure ?(cache = true) ?fingerprint ?dshash ~program ir
+    (d : Workload.dataset) =
+  let key =
+    if cache && Study_cache.enabled () then
+      let fingerprint =
+        match fingerprint with
+        | Some fp -> fp
+        | None -> Fingerprint.content_hash ir
+      in
+      let dshash =
+        match dshash with Some h -> h | None -> Study_cache.dataset_hash d
+      in
+      Some (fingerprint, dshash)
+    else None
+  in
+  let cached =
+    Option.bind key (fun (fingerprint, dshash) ->
+        Study_cache.lookup ~fingerprint ~dshash
+          ~n_sites:(Fisher92_ir.Program.n_sites ir)
+          ~program d)
+  in
+  match cached with
+  | Some run -> (run, true)
+  | None ->
+    let run =
+      Measure.of_result ~program ~dataset:d.ds_name (execute ir d ())
+    in
+    Option.iter
+      (fun (fingerprint, dshash) -> Study_cache.store ~fingerprint ~dshash run)
+      key;
+    (run, false)
+
+let first_dshash l = match l.dshashes with h :: _ -> Some h | [] -> None
 
 (* Every (workload, dataset) pair is executed by an independent task: the
    VM allocates all of its state per call and the compile pipeline shares
@@ -69,17 +106,18 @@ let load_timed ?workloads ?domains ?cache ?progress () =
       (fun (w : Workload.t) ->
         let t0 = now () in
         let ir = compile_variant w in
-        (* the fingerprint is only a study-cache key *)
+        (* the content hash is only a study-cache key *)
         let fp =
-          if use_cache then Some (Fingerprint.program_hash ir) else None
+          if use_cache then Some (Fingerprint.content_hash ir) else None
         in
         let seconds = now () -. t0 in
         emit (Compiled { workload = w.w_name; seconds });
         (w, ir, fp, seconds))
       workloads
   in
-  (* Phase 2: execute (one task per (workload, dataset) pair), consulting
-     the on-disk cache first. *)
+  (* Phase 2: measure (one task per (workload, dataset) pair), consulting
+     the on-disk cache first.  Each dataset is hashed once, here, and
+     the hash kept for the later stores that key on it. *)
   let pairs =
     List.concat_map
       (fun (w, ir, fp, _) ->
@@ -88,32 +126,19 @@ let load_timed ?workloads ?domains ?cache ?progress () =
   in
   let measured =
     Pool.map ?domains
-      (fun ((w : Workload.t), ir, fp, (d : Workload.dataset)) ->
+      (fun ((w : Workload.t), ir, fingerprint, (d : Workload.dataset)) ->
         let t0 = now () in
-        let cached_run =
-          Option.bind fp (fun fingerprint ->
-              Study_cache.lookup ~fingerprint
-                ~n_sites:(Fisher92_ir.Program.n_sites ir)
-                ~program:w.w_name d)
+        let dshash =
+          if use_cache then Some (Study_cache.dataset_hash d) else None
         in
         let run, cached =
-          match cached_run with
-          | Some run -> (run, true)
-          | None ->
-            let result = execute ir d () in
-            let run =
-              Measure.of_result ~program:w.w_name ~dataset:d.ds_name result
-            in
-            Option.iter
-              (fun fingerprint -> Study_cache.store ~fingerprint d run)
-              fp;
-            (run, false)
+          measure ~cache:use_cache ?fingerprint ?dshash ~program:w.w_name ir d
         in
         let seconds = now () -. t0 in
         emit
           (Executed
              { workload = w.w_name; dataset = d.ds_name; seconds; cached });
-        (run, seconds, cached))
+        (run, dshash, seconds, cached))
       pairs
   in
   (* Deterministic merge: both pools return results in input order, so
@@ -134,15 +159,16 @@ let load_timed ?workloads ?domains ?cache ?progress () =
         let mine, rest =
           split (List.length w.Workload.w_datasets) remaining
         in
-        let runs = List.map (fun (run, _, _) -> run) mine in
+        let runs = List.map (fun (run, _, _, _) -> run) mine in
+        let dshashes = List.filter_map (fun (_, h, _, _) -> h) mine in
         let tm_runs =
           List.map2
-            (fun (d : Workload.dataset) (_, seconds, cached) ->
+            (fun (d : Workload.dataset) (_, _, seconds, cached) ->
               { rt_dataset = d.ds_name; rt_seconds = seconds;
                 rt_cached = cached })
             w.w_datasets mine
         in
-        ( { workload = w; ir; runs } :: items,
+        ( { workload = w; ir; runs; dshashes } :: items,
           { tm_workload = w.w_name; tm_compile = compile_s; tm_runs }
           :: timings,
           rest ))

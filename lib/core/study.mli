@@ -9,16 +9,24 @@
     IFPROBBER + MFPixie collection per run.
 
     The pairs are independent, so [load] drives them through a
-    {!Fisher92_util.Pool} of domains and consults the on-disk
-    {!Study_cache} before simulating; results are merged by task index,
-    which makes the parallel, cached study byte-identical to a
-    sequential, cold one.  [FISHER92_DOMAINS], [FISHER92_CACHE_DIR] and
-    [FISHER92_NO_CACHE] tune this from the environment. *)
+    {!Fisher92_util.Pool} of domains and {!measure}s each one, which
+    consults the on-disk {!Study_cache} before simulating; results are
+    merged by task index, which makes the parallel, cached study
+    byte-identical to a sequential, cold one.  [FISHER92_DOMAINS],
+    [FISHER92_CACHE_DIR] and [FISHER92_NO_CACHE] tune this from the
+    environment. *)
 
 type loaded = {
   workload : Fisher92_workloads.Workload.t;
   ir : Fisher92_ir.Program.t;  (** measured build (no DCE, no inlining) *)
   runs : Fisher92_metrics.Measure.run list;  (** one per dataset, in order *)
+  dshashes : string list;
+      (** each dataset's {!Study_cache.dataset_hash}, in order, when
+          [load] ran through the study cache (it hashed them for its
+          keys); empty otherwise.  Later stores keyed on the same
+          datasets reuse them instead of re-hashing, and the ablation
+          sections cache their variant builds only when these are
+          present. *)
 }
 
 type t
@@ -79,8 +87,33 @@ val execute :
   ?config:Fisher92_vm.Vm.config ->
   unit ->
   Fisher92_vm.Vm.result
-(** Run one dataset against a compiled image (used by the ablation
-    experiments that need special builds or VM hooks). *)
+(** Run one dataset against a compiled image, uncached (for the
+    experiments that need VM hooks or a result no
+    {!Fisher92_metrics.Measure.run} holds). *)
+
+val measure :
+  ?cache:bool ->
+  ?fingerprint:string ->
+  ?dshash:string ->
+  program:string ->
+  Fisher92_ir.Program.t ->
+  Fisher92_workloads.Workload.dataset ->
+  Fisher92_metrics.Measure.run * bool
+(** One (build, dataset) measurement: the {!Study_cache} entry for this
+    key when present and intact, else a VM run stored back
+    (best-effort).  The flag is [true] when the cache served it.  [load]
+    runs every pair through here, and the ablation sections run their
+    variant builds (DCE, inlined, switch-sorted, mutated) the same way.
+    [fingerprint] (the build's
+    {!Fisher92_analysis.Fingerprint.content_hash}) and [dshash] (the
+    dataset's {!Study_cache.dataset_hash}) are computed when omitted;
+    a caller measuring several datasets of one build, or one dataset
+    against several builds, hashes once and passes them.
+    [~cache:false] or [FISHER92_NO_CACHE] skips the cache and the
+    hashing. *)
+
+val first_dshash : loaded -> string option
+(** The first dataset's hash from [dshashes], if [load] computed it. *)
 
 val compile_variant :
   ?dce:bool -> ?inline:bool -> Fisher92_workloads.Workload.t ->

@@ -35,16 +35,16 @@ let dataset_hash (d : Workload.dataset) =
 
 (* File names carry the whole key, so distinct builds and datasets never
    collide; the program name prefix is purely for humans. *)
-let entry_path ~fingerprint ~program d =
+let entry_path ~fingerprint ~dshash ~program =
   Filename.concat (cache_dir ())
-    (Printf.sprintf "%s.%s.%s.run" program fingerprint (dataset_hash d))
+    (Printf.sprintf "%s.%s.%s.run" program fingerprint dshash)
 
 (* ---- serialization (the Sectfile conventions the profile db also
    follows) ---- *)
 
 let sized = Sectfile.sized
 
-let render ~fingerprint ~n_sites d (run : Measure.run) =
+let render ~fingerprint ~dshash ~n_sites (run : Measure.run) =
   let buf = Buffer.create 1024 in
   let section header body end_tag =
     Sectfile.add_section buf ~header ~body ~end_tag
@@ -55,7 +55,7 @@ let render ~fingerprint ~n_sites d (run : Measure.run) =
       "program " ^ sized run.program;
       "dataset " ^ sized run.dataset;
       "fingerprint " ^ fingerprint;
-      "dshash " ^ dataset_hash d;
+      "dshash " ^ dshash;
       Printf.sprintf "sites %d" n_sites;
     ]
     "endmeta";
@@ -92,7 +92,7 @@ let parse_sized s =
   | payload -> payload
   | exception Sectfile.Bad _ -> raise Reject
 
-let parse ~fingerprint ~n_sites ~program (d : Workload.dataset) text =
+let parse ~fingerprint ~dshash ~n_sites ~program (d : Workload.dataset) text =
   let c = Sectfile.cursor (Sectfile.split_lines text) in
   let next () = Sectfile.next c in
   let section header end_tag = Sectfile.strict_section c ~header ~end_tag in
@@ -122,7 +122,7 @@ let parse ~fingerprint ~n_sites ~program (d : Workload.dataset) text =
       raise Reject;
     if not (String.equal (field "fingerprint" fp) fingerprint) then
       raise Reject;
-    if not (String.equal (field "dshash" dh) (dataset_hash d)) then
+    if not (String.equal (field "dshash" dh) dshash) then
       raise Reject;
     if int_field "sites" sites <> n_sites then raise Reject
   | _ -> raise Reject);
@@ -157,30 +157,30 @@ let parse ~fingerprint ~n_sites ~program (d : Workload.dataset) text =
 
 (* ---- file operations ---- *)
 
-let lookup ~fingerprint ~n_sites ~program d =
+let lookup ~fingerprint ~dshash ~n_sites ~program d =
   if not (enabled ()) then None
   else
-    let path = entry_path ~fingerprint ~program d in
+    let path = entry_path ~fingerprint ~dshash ~program in
     match Sectfile.read_file path with
     | exception Sys_error _ -> None
     | exception End_of_file -> None
     | text -> (
-      match parse ~fingerprint ~n_sites ~program d text with
+      match parse ~fingerprint ~dshash ~n_sites ~program d text with
       | run -> Some run
       | exception Reject -> None
       | exception Sectfile.Bad _ -> None)
 
-let store ~fingerprint (d : Workload.dataset) (run : Measure.run) =
+let store ~fingerprint ~dshash (run : Measure.run) =
   if enabled () then begin
     let n_sites = Profile.n_sites run.profile in
-    let text = render ~fingerprint ~n_sites d run in
+    let text = render ~fingerprint ~dshash ~n_sites run in
     let dir = cache_dir () in
     (* Best-effort: a read-only or vanished cache directory must never
        fail the study, so every syscall error is swallowed here. *)
     try
       Sectfile.mkdir_p dir;
       Sectfile.write_atomic
-        ~path:(entry_path ~fingerprint ~program:run.program d)
+        ~path:(entry_path ~fingerprint ~dshash ~program:run.program)
         ~tmp_prefix:"runcache" text
     with Sys_error _ -> ()
   end

@@ -21,6 +21,28 @@ let scheme_name = function
     Printf.sprintf "tage/%s"
       (String.concat "-" (List.map string_of_int histories))
 
+(* Every parameter, unlike [scheme_name]: a key for stored replay
+   results must tell apart schemes the tables print alike. *)
+let scheme_spec = function
+  | Last_direction -> "1-bit"
+  | Two_bit -> "2-bit"
+  | Static p ->
+    "static "
+    ^ Fisher92_util.Fnv.hex
+        (String.init (Array.length p) (fun s -> if p.(s) then '1' else '0'))
+  | Two_level { history_bits } ->
+    Printf.sprintf "2-level history_bits=%d" history_bits
+  | Gshare { history_bits } ->
+    Printf.sprintf "gshare history_bits=%d" history_bits
+  | Smith { table_bits } -> Printf.sprintf "smith table_bits=%d" table_bits
+  | Bimode { history_bits; choice_bits } ->
+    Printf.sprintf "bimode history_bits=%d choice_bits=%d" history_bits
+      choice_bits
+  | Tage { table_bits; tag_bits; histories } ->
+    Printf.sprintf "tage table_bits=%d tag_bits=%d histories=%s" table_bits
+      tag_bits
+      (String.concat "," (List.map string_of_int histories))
+
 (* Shared and pattern tables hold 2-bit counters, so they are packed
    one counter per byte: a 4096-entry gshare table is 4 KB instead of
    32 KB of boxed-int-free but 8-byte array words, which keeps every
@@ -532,3 +554,91 @@ let site_incorrect t = Array.copy t.site_incorrect
 
 let percent_correct t =
   Fisher92_util.Stats.percent t.correct (t.correct + t.incorrect)
+
+(* ---- the rules' identity ---- *)
+
+(* Every scheme shape, each in a size small enough that the 24 sites
+   below alias in its tables and in the registry zoo's size. *)
+let digest_schemes warm =
+  [
+    Last_direction;
+    Two_bit;
+    Static warm;
+    Smith { table_bits = 3 };
+    Smith { table_bits = 8 };
+    Two_level { history_bits = 4 };
+    Two_level { history_bits = 10 };
+    Gshare { history_bits = 4 };
+    Gshare { history_bits = 12 };
+    Bimode { history_bits = 4; choice_bits = 3 };
+    Bimode { history_bits = 12; choice_bits = 10 };
+    Tage { table_bits = 3; tag_bits = 3; histories = [ 2; 5; 9 ] };
+    Tage { table_bits = 7; tag_bits = 8; histories = [ 4; 8; 16 ] };
+  ]
+
+(* A fixed, seeded 4,096-event stream over 24 sites, mixing the
+   behaviours the rules treat differently: biased sites, counted loops,
+   alternation, outcomes correlated with the previous branch, and
+   coin flips, visited mostly in a fixed program order. *)
+let digest_stream () =
+  let module Rng = Fisher92_util.Rng in
+  let n_sites = 24 in
+  let rng = Rng.create 0x5eed in
+  let kind = Array.init n_sites (fun _ -> Rng.int rng 6) in
+  let trip = Array.init n_sites (fun _ -> Rng.int_in rng 2 9) in
+  let visits = Array.make n_sites 0 in
+  let last = ref false and site = ref 0 in
+  let events =
+    Array.init 4096 (fun _ ->
+        site :=
+          if Rng.chance rng 0.75 then (!site + 1) mod n_sites
+          else Rng.int rng n_sites;
+        let s = !site in
+        visits.(s) <- visits.(s) + 1;
+        let taken =
+          match kind.(s) with
+          | 0 -> Rng.chance rng 0.9
+          | 1 -> Rng.chance rng 0.1
+          | 2 -> visits.(s) mod trip.(s) <> 0
+          | 3 -> visits.(s) land 1 = 0
+          | 4 -> !last <> Rng.chance rng 0.1
+          | _ -> Rng.bool rng
+        in
+        last := taken;
+        (s, taken))
+  in
+  let warm = Array.init n_sites (fun _ -> Rng.bool rng) in
+  (n_sites, events, warm)
+
+let compute_rules_digest () =
+  let n_sites, events, warm = digest_stream () in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun scheme ->
+      List.iter
+        (fun seed ->
+          let t =
+            simulate ?warm:seed scheme ~n_sites (fun hook ->
+                Array.iter (fun (s, taken) -> hook s taken) events)
+          in
+          Buffer.add_string buf (scheme_spec scheme);
+          Array.iteri
+            (fun s c ->
+              Buffer.add_string buf
+                (Printf.sprintf " %d/%d" c t.site_incorrect.(s)))
+            t.site_correct;
+          Buffer.add_char buf '\n')
+        [ None; Some warm ])
+    (digest_schemes warm);
+  Fisher92_util.Fnv.hex (Buffer.contents buf)
+
+(* Computed once per process; racing domains compute the same value. *)
+let rules_memo = Atomic.make None
+
+let rules_digest () =
+  match Atomic.get rules_memo with
+  | Some d -> d
+  | None ->
+    let d = compute_rules_digest () in
+    Atomic.set rules_memo (Some d);
+    d

@@ -63,6 +63,15 @@ type scheme =
           pressure decays them. *)
 
 val scheme_name : scheme -> string
+(** The short name the tables print, e.g. ["bimode/12"]; it omits some
+    parameters (Bi-Mode's [choice_bits], TAGE's [table_bits] and
+    [tag_bits]). *)
+
+val scheme_spec : scheme -> string
+(** One line naming the scheme with every parameter (a [Static]
+    prediction by its FNV-1a digest), e.g.
+    ["bimode history_bits=12 choice_bits=10"]: equal specs simulate
+    identically.  Stores of replay results key on it. *)
 
 type t
 
@@ -144,3 +153,13 @@ val site_correct : t -> int array
 val site_incorrect : t -> int array
 
 val percent_correct : t -> float
+
+val rules_digest : unit -> string
+(** 16-hex-digit FNV-1a over the per-site tallies of every scheme shape
+    (in a small, aliasing size and in the registry zoo's size), cold and
+    profile-warmed, over a fixed, seeded 4,096-event stream.  It names
+    the update rules themselves: an edit to any rule that changes a
+    tally on that stream changes it, so stored replay results keyed on
+    it miss without anyone bumping a version.  Computed once per
+    process (about 5 ms on a 2-vCPU host); safe to call from any
+    domain. *)

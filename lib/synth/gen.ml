@@ -464,14 +464,14 @@ let generate ?name p ~seed =
   validate p;
   let name = match name with Some n -> n | None -> Printf.sprintf "syn%d" seed in
   let ctx = { rng = Rng.create seed; p; mask = p.gp_data_len - 1; fresh = 0 } in
-  (* The program (not workload) name carries a digest of (params, seed).
-     The study cache and trace store key on Fingerprint.program_hash,
-     which is deliberately edit-tolerant: it hashes branch-site
-     structure, not immediate constants, so two generations differing
-     only in (say) threshold constants would collide and serve each
-     other's cached runs.  Folding the generation point into the hashed
-     program name keeps every distinct generation a distinct cache
-     entry, and stamps provenance into the emitted .mc source. *)
+  (* The program (not workload) name carries a digest of (params, seed),
+     stamping provenance into the emitted .mc source.  It also keeps
+     every generation's structural Fingerprint.program_hash distinct:
+     that hash is deliberately edit-tolerant (branch-site structure, not
+     immediate constants), so two generations differing only in (say)
+     threshold constants would otherwise share a profile identity.  The
+     stores need no such help: they key on Fingerprint.content_hash,
+     which covers every constant. *)
   let pname =
     let tag =
       Fnv.hash_strings

@@ -532,13 +532,122 @@ module Store = struct
     end;
     text
 
+  (* ---- replay entries ---- *)
+
+  (* Bump on any change to the entry layout. *)
+  let replay_version = 1
+
+  (* The file name carries the trace key and a digest of the replay
+     key, so differently configured replays of one trace coexist. *)
+  let replay_path ~program ~fingerprint ~dshash ~key =
+    Filename.concat (dir ())
+      (Printf.sprintf "%s.%s.%s.%s.replay" program fingerprint dshash
+         (Fisher92_util.Fnv.hash_strings key))
+
+  (* The meta section is a canonical rendering of the whole key, so an
+     entry matches a request exactly when the two renderings are
+     equal. *)
+  let replay_meta ~program ~dataset ~fingerprint ~dshash ~n_sites ~key =
+    [
+      "program " ^ Sectfile.sized program;
+      "dataset " ^ Sectfile.sized dataset;
+      "fingerprint " ^ fingerprint;
+      "dshash " ^ dshash;
+      Printf.sprintf "sites %d" n_sites;
+    ]
+    @ List.map (fun k -> "key " ^ Sectfile.sized k) key
+
+  (* One line per tally: [c0 i0 c1 i1 ...], a (correct, incorrect) pair
+     per site. *)
+  let tally_line ~n_sites (correct, incorrect) =
+    String.concat " "
+      (List.concat
+         (List.init n_sites (fun s ->
+              [ string_of_int correct.(s); string_of_int incorrect.(s) ])))
+
+  (* Strict: exactly [2 * n_sites] fields, each a non-negative decimal
+     in canonical form (no sign, no leading zero, no underscore). *)
+  let parse_tally ~n_sites line =
+    let fields =
+      if String.equal line "" then [||]
+      else Array.of_list (String.split_on_char ' ' line)
+    in
+    if Array.length fields <> 2 * n_sites then
+      corrupt "tally has %d fields, want %d" (Array.length fields)
+        (2 * n_sites);
+    let count f =
+      match int_of_string_opt f with
+      | Some n when n >= 0 && String.equal (string_of_int n) f -> n
+      | Some _ | None -> corrupt "bad tally %S" f
+    in
+    ( Array.init n_sites (fun s -> count fields.(2 * s)),
+      Array.init n_sites (fun s -> count fields.((2 * s) + 1)) )
+
+  let parse_replay ~meta ~n_sites text =
+    let c = Sectfile.cursor (Sectfile.split_lines text) in
+    Sectfile.expect c (Printf.sprintf "fisher92replay %d" replay_version);
+    if
+      not
+        (List.equal String.equal meta
+           (Sectfile.strict_section c ~header:"meta" ~end_tag:"endmeta"))
+    then corrupt "replay entry recorded under another key";
+    let tallies =
+      List.map (parse_tally ~n_sites)
+        (Sectfile.strict_section c ~header:"tallies" ~end_tag:"endtallies")
+    in
+    Sectfile.expect c "end";
+    if not (Sectfile.at_end c) then corrupt "trailing lines after end";
+    tallies
+
+  let load_replay ~program ~dataset ~fingerprint ~dshash ~n_sites ~key =
+    if not (enabled ()) then None
+    else
+      match
+        Sectfile.read_file (replay_path ~program ~fingerprint ~dshash ~key)
+      with
+      | exception Sys_error _ -> None
+      | exception End_of_file -> None
+      | text -> (
+        let meta =
+          replay_meta ~program ~dataset ~fingerprint ~dshash ~n_sites ~key
+        in
+        match parse_replay ~meta ~n_sites text with
+        | tallies -> Some tallies
+        | exception Sectfile.Bad _ -> None)
+
+  let save_replay ~program ~dataset ~fingerprint ~dshash ~n_sites ~key
+      tallies =
+    if enabled () then begin
+      let buf = Buffer.create 4096 in
+      Buffer.add_string buf
+        (Printf.sprintf "fisher92replay %d\n" replay_version);
+      Sectfile.add_section buf ~header:"meta"
+        ~body:
+          (replay_meta ~program ~dataset ~fingerprint ~dshash ~n_sites ~key)
+        ~end_tag:"endmeta";
+      Sectfile.add_section buf ~header:"tallies"
+        ~body:(List.map (tally_line ~n_sites) tallies)
+        ~end_tag:"endtallies";
+      Buffer.add_string buf "end\n";
+      (* best-effort, like [save] *)
+      try
+        Sectfile.mkdir_p (dir ());
+        Sectfile.write_atomic
+          ~path:(replay_path ~program ~fingerprint ~dshash ~key)
+          ~tmp_prefix:"replay" (Buffer.contents buf)
+      with Sys_error _ -> ()
+    end
+
   let clear () =
     match Sys.readdir (dir ()) with
     | exception Sys_error _ -> ()
     | entries ->
       Array.iter
         (fun f ->
-          if Filename.check_suffix f ".trace" then
+          if
+            Filename.check_suffix f ".trace"
+            || Filename.check_suffix f ".replay"
+          then
             try Sys.remove (Filename.concat (dir ()) f)
             with Sys_error _ -> ())
         entries

@@ -41,7 +41,7 @@ type meta = {
   t_program : string;
   t_dataset : string;
   t_fingerprint : string;
-      (** {!Fisher92_analysis.Fingerprint.program_hash} of the build the
+      (** {!Fisher92_analysis.Fingerprint.content_hash} of the build the
           trace was captured on *)
   t_dshash : string;  (** FNV-1a hash of the full dataset contents *)
   t_n_sites : int;  (** branch sites of the build *)
@@ -132,13 +132,31 @@ module Reader : sig
 end
 
 (** The on-disk trace store: one file per (build, dataset) key, shared
-    with every process.  Keys mirror the study cache: program name,
-    structural program fingerprint, dataset-contents hash.  A missing,
+    with every process.  Keys mirror the study cache: program name, the
+    build's content hash ({!Fisher92_analysis.Fingerprint.content_hash},
+    so editing one constant misses), dataset-contents hash.  A missing,
     damaged, version-mismatched or stale entry is a miss — the caller
     recaptures, never salvages.
 
+    {b Replay entries.}  Beside a [.trace] file the store keeps
+    [.replay] entries: the per-site (correct, incorrect) tallies that
+    replaying the trace through a roster of predictor simulators
+    produced, so a later run reads a few kilobytes instead of decoding
+    and simulating the stream again.  An entry's key is the trace key
+    plus a caller-supplied list of lines naming everything else the
+    tallies depend on (the study's shared replay puts every simulator's
+    full scheme spec, a digest of the profile-warming vector and
+    [Dynamic.rules_digest] there); the file name carries the trace key
+    and a digest of those lines, and the entry's checksummed meta
+    section repeats all of it.  The format follows the trace file's
+    conventions — a [fisher92replay] version line, a [meta] section, a
+    [tallies] section with one line of [2 * n_sites] canonical decimals
+    per simulator, [end] — and is parsed strictly: any damage, or a key
+    that differs in any line, is a miss.
+
     Environment ({!Fisher92_util.Env}): [FISHER92_TRACE_DIR] overrides
-    the location, [FISHER92_NO_TRACE] disables the store. *)
+    the location, [FISHER92_NO_TRACE] disables the store, replay entries
+    included. *)
 module Store : sig
   val enabled : unit -> bool
 
@@ -164,6 +182,34 @@ module Store : sig
       Best-effort: an unwritable store directory is ignored, never
       fatal. *)
 
+  val load_replay :
+    program:string ->
+    dataset:string ->
+    fingerprint:string ->
+    dshash:string ->
+    n_sites:int ->
+    key:string list ->
+    (int array * int array) list option
+  (** The tallies stored under this exact key, in the order they were
+      saved — each a per-site (correct, incorrect) pair of [n_sites]
+      counts — or [None] when the store is disabled or the entry is
+      absent, damaged, or recorded under a key differing in any
+      component.  Never raises. *)
+
+  val save_replay :
+    program:string ->
+    dataset:string ->
+    fingerprint:string ->
+    dshash:string ->
+    n_sites:int ->
+    key:string list ->
+    (int array * int array) list ->
+    unit
+  (** Persist tallies under the key (atomic write; each array must hold
+      at least [n_sites] counts, and only the first [n_sites] are kept).
+      Best-effort: a disabled store or an unwritable directory is
+      ignored, never fatal. *)
+
   val clear : unit -> unit
-  (** Remove every stored trace (used by the benchmark's cold runs). *)
+  (** Remove every stored trace and replay entry. *)
 end

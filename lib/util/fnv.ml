@@ -1,12 +1,16 @@
 let seed = 0xcbf29ce484222325L
 let prime = 0x100000001b3L
 
+(* An index loop over a local accumulator: ocamlopt keeps [h] unboxed,
+   where a [String.iter] closure would box it on every byte. *)
 let fold h s =
   let h = ref h in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        prime
+  done;
   !h
 
 let hash s = fold seed s

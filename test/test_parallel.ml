@@ -1,6 +1,7 @@
 (* The parallel study runner: pool semantics, sequential/parallel
-   byte-identity, and the on-disk study cache (round-trip, poisoning,
-   warm-run identity). *)
+   byte-identity, the on-disk study cache (round-trip, poisoning,
+   warm-run identity) and the replay entries of the trace store (keys,
+   poisoning). *)
 
 module Pool = Fisher92_util.Pool
 module Study = Fisher92.Study
@@ -12,19 +13,28 @@ module Measure = Fisher92_metrics.Measure
 module Profile = Fisher92_profile.Profile
 module Fingerprint = Fisher92_analysis.Fingerprint
 module Corrupt = Fisher92_testsupport.Corrupt
+module Tracing = Fisher92.Tracing
+module Trace = Fisher92_trace.Trace
+module Dynamic = Fisher92_predict.Dynamic
 module Gen = QCheck2.Gen
 
-(* Isolate the cache: this suite owns a private directory and must be
-   immune to FISHER92_NO_CACHE in the surrounding environment. *)
-let cache_dir =
-  let d = Filename.temp_file "f92cache" ".d" in
+(* Isolate the stores: this suite owns private directories and must be
+   immune to FISHER92_NO_CACHE and FISHER92_NO_TRACE in the surrounding
+   environment. *)
+let private_dir prefix =
+  let d = Filename.temp_file prefix ".d" in
   Sys.remove d;
   Unix.mkdir d 0o700;
   d
 
+let cache_dir = private_dir "f92cache"
+let trace_dir = private_dir "f92traces"
+
 let () =
   Unix.putenv "FISHER92_CACHE_DIR" cache_dir;
-  Unix.putenv "FISHER92_NO_CACHE" ""
+  Unix.putenv "FISHER92_NO_CACHE" "";
+  Unix.putenv "FISHER92_TRACE_DIR" trace_dir;
+  Unix.putenv "FISHER92_NO_TRACE" ""
 
 (* ---------- pool ---------- *)
 
@@ -192,12 +202,13 @@ let measured_run () =
   let w = Lazy.force spiff in
   let ir = Study.compile_variant w in
   let d = List.hd w.Workload.w_datasets in
-  let fp = Fingerprint.program_hash ir in
+  let fp = Fingerprint.content_hash ir in
+  let dh = Cache.dataset_hash d in
   let run =
     Measure.of_result ~program:w.w_name ~dataset:d.ds_name
       (Study.execute ir d ())
   in
-  (w, ir, d, fp, run)
+  (w, ir, d, fp, dh, run)
 
 let run_equal (a : Measure.run) (b : Measure.run) =
   String.equal a.program b.program
@@ -207,28 +218,32 @@ let run_equal (a : Measure.run) (b : Measure.run) =
   && a.profile.Profile.encountered = b.profile.Profile.encountered
   && a.profile.Profile.taken = b.profile.Profile.taken
 
-let entry_file ~fp (w : Workload.t) (d : Workload.dataset) =
-  Filename.concat cache_dir
-    (Printf.sprintf "%s.%s.%s.run" w.w_name fp (Cache.dataset_hash d))
+let entry_file ~fp ~dh (w : Workload.t) =
+  Filename.concat cache_dir (Printf.sprintf "%s.%s.%s.run" w.w_name fp dh)
 
 let test_cache_roundtrip () =
   Cache.clear ();
-  let w, ir, d, fp, run = measured_run () in
+  let w, ir, d, fp, dh, run = measured_run () in
   let n_sites = Fisher92_ir.Program.n_sites ir in
   Alcotest.(check bool) "miss on empty cache" true
-    (Cache.lookup ~fingerprint:fp ~n_sites ~program:w.w_name d = None);
-  Cache.store ~fingerprint:fp d run;
-  (match Cache.lookup ~fingerprint:fp ~n_sites ~program:w.w_name d with
+    (Cache.lookup ~fingerprint:fp ~dshash:dh ~n_sites ~program:w.w_name d
+     = None);
+  Cache.store ~fingerprint:fp ~dshash:dh run;
+  (match
+     Cache.lookup ~fingerprint:fp ~dshash:dh ~n_sites ~program:w.w_name d
+   with
   | None -> Alcotest.fail "stored entry not found"
   | Some back ->
     Alcotest.(check bool) "round-trips exactly" true (run_equal run back));
   (* a different build fingerprint must miss *)
   Alcotest.(check bool) "stale fingerprint misses" true
-    (Cache.lookup ~fingerprint:"0000000000000000" ~n_sites ~program:w.w_name d
+    (Cache.lookup ~fingerprint:"0000000000000000" ~dshash:dh ~n_sites
+       ~program:w.w_name d
      = None);
   (* a different site count must be rejected, not misread *)
   Alcotest.(check bool) "site count mismatch misses" true
-    (Cache.lookup ~fingerprint:fp ~n_sites:(n_sites + 1) ~program:w.w_name d
+    (Cache.lookup ~fingerprint:fp ~dshash:dh ~n_sites:(n_sites + 1)
+       ~program:w.w_name d
      = None)
 
 let read_file path =
@@ -257,45 +272,50 @@ let prop_poisoned_entry_never_trusted =
       String.concat "; " (List.map Corrupt.op_name ops))
     case_gen
     (fun ops ->
-      let w, ir, d, fp, run = measured_run () in
+      let w, ir, d, fp, dh, run = measured_run () in
       let n_sites = Fisher92_ir.Program.n_sites ir in
       Cache.clear ();
-      Cache.store ~fingerprint:fp d run;
-      let path = entry_file ~fp w d in
+      Cache.store ~fingerprint:fp ~dshash:dh run;
+      let path = entry_file ~fp ~dh w in
       let original = read_file path in
       let corrupted = List.fold_left Corrupt.apply_op original ops in
       write_file path corrupted;
-      match Cache.lookup ~fingerprint:fp ~n_sites ~program:w.w_name d with
+      match
+        Cache.lookup ~fingerprint:fp ~dshash:dh ~n_sites ~program:w.w_name d
+      with
       | None -> true
       | Some back ->
         (* only bit-identical survivors may be served *)
         String.equal corrupted original && run_equal run back)
 
 let test_cache_truncation_and_bitflip () =
-  let w, ir, d, fp, run = measured_run () in
+  let w, ir, d, fp, dh, run = measured_run () in
   let n_sites = Fisher92_ir.Program.n_sites ir in
   Cache.clear ();
-  Cache.store ~fingerprint:fp d run;
-  let path = entry_file ~fp w d in
+  Cache.store ~fingerprint:fp ~dshash:dh run;
+  let path = entry_file ~fp ~dh w in
   let original = read_file path in
   (* truncation *)
   write_file path (String.sub original 0 (String.length original / 2));
   Alcotest.(check bool) "truncated entry misses" true
-    (Cache.lookup ~fingerprint:fp ~n_sites ~program:w.w_name d = None);
+    (Cache.lookup ~fingerprint:fp ~dshash:dh ~n_sites ~program:w.w_name d
+     = None);
   (* single bit flip in the middle (lands inside a checksummed section) *)
   let b = Bytes.of_string original in
   let mid = Bytes.length b / 2 in
   Bytes.set b mid (Char.chr (Char.code (Bytes.get b mid) lxor 1));
   write_file path (Bytes.to_string b);
   Alcotest.(check bool) "bit-flipped entry misses" true
-    (Cache.lookup ~fingerprint:fp ~n_sites ~program:w.w_name d = None);
+    (Cache.lookup ~fingerprint:fp ~dshash:dh ~n_sites ~program:w.w_name d
+     = None);
   (* a future format version must also miss *)
   write_file path
     ("fisher92runcache 999\n"
     ^ String.concat "\n"
         (List.tl (String.split_on_char '\n' original)));
   Alcotest.(check bool) "version mismatch misses" true
-    (Cache.lookup ~fingerprint:fp ~n_sites ~program:w.w_name d = None)
+    (Cache.lookup ~fingerprint:fp ~dshash:dh ~n_sites ~program:w.w_name d
+     = None)
 
 let test_warm_cache_identical () =
   Cache.clear ();
@@ -328,6 +348,119 @@ let test_progress_events () =
   in
   Alcotest.(check int) "one compile event" 1 (List.length compiles);
   Alcotest.(check int) "one run event per dataset" 1 (List.length runs)
+
+(* ---------- replay entries of the trace store ---------- *)
+
+(* What the shared replay's store key must separate: parameters
+   [scheme_name] does not print, the warm vector, and the update
+   rules. *)
+let test_replay_key_components () =
+  let warm = Array.init 8 (fun s -> s mod 3 = 0) in
+  let key ?rules ?(warm = warm) schemes =
+    Tracing.replay_key ?rules ~warm schemes
+  in
+  let same a b = List.equal String.equal a b in
+  let differs what a b = Alcotest.(check bool) what false (same a b) in
+  let bimode choice_bits =
+    Dynamic.Bimode { history_bits = 12; choice_bits }
+  in
+  let tage table_bits tag_bits =
+    Dynamic.Tage { table_bits; tag_bits; histories = [ 4; 8; 16 ] }
+  in
+  Alcotest.(check bool) "scheme_name omits choice_bits, table_bits, tag_bits"
+    true
+    (List.for_all
+       (fun (a, b) ->
+         String.equal (Dynamic.scheme_name a) (Dynamic.scheme_name b))
+       [ (bimode 10, bimode 11); (tage 7 8, tage 8 8); (tage 7 8, tage 7 9) ]);
+  differs "Bi-Mode choice_bits" (key [ bimode 10 ]) (key [ bimode 11 ]);
+  differs "TAGE table_bits" (key [ tage 7 8 ]) (key [ tage 8 8 ]);
+  differs "TAGE tag_bits" (key [ tage 7 8 ]) (key [ tage 7 9 ]);
+  let flipped = Array.copy warm in
+  flipped.(5) <- not flipped.(5);
+  differs "warm vector" (key [ Dynamic.Two_bit ])
+    (key ~warm:flipped [ Dynamic.Two_bit ]);
+  differs "rules digest" (key [ Dynamic.Two_bit ])
+    (key ~rules:"0000000000000000" [ Dynamic.Two_bit ]);
+  Alcotest.(check bool) "rules default to Dynamic.rules_digest" true
+    (same (key [ Dynamic.Two_bit ])
+       (key ~rules:(Dynamic.rules_digest ()) [ Dynamic.Two_bit ]));
+  Alcotest.(check bool) "equal inputs give equal keys" true
+    (same (key [ bimode 10; tage 7 8 ]) (key [ bimode 10; tage 7 8 ]))
+
+(* The store serves an entry only under its exact key. *)
+let test_replay_entry_keying () =
+  Trace.Store.clear ();
+  let n_sites = 3 in
+  let tallies =
+    [ ([| 1; 0; 7 |], [| 2; 0; 0 |]); ([| 0; 0; 5 |], [| 3; 0; 2 |]) ]
+  in
+  let entry key =
+    Trace.Store.load_replay ~program:"p" ~dataset:"d" ~fingerprint:"fp"
+      ~dshash:"dh" ~n_sites ~key
+  in
+  Trace.Store.save_replay ~program:"p" ~dataset:"d" ~fingerprint:"fp"
+    ~dshash:"dh" ~n_sites ~key:[ "rules a"; "cold 2-bit" ] tallies;
+  Alcotest.(check bool) "round-trips under its key" true
+    (entry [ "rules a"; "cold 2-bit" ] = Some tallies);
+  Alcotest.(check bool) "another rules line misses" true
+    (entry [ "rules b"; "cold 2-bit" ] = None);
+  Alcotest.(check bool) "a shorter roster misses" true
+    (entry [ "rules a" ] = None)
+
+let replay_workloads () = [ Registry.find "compress" ]
+
+let render_predictors study =
+  E.render_tournament (E.tournament study) ^ E.render_h2p (E.h2p study)
+
+(* A study over an empty trace store: its rendering, the one replay
+   entry it saved, and that entry's path. *)
+let replay_fixture =
+  lazy
+    (Trace.Store.clear ();
+     let study = Study.load ~workloads:(replay_workloads ()) () in
+     let text = render_predictors study in
+     match
+       List.filter
+         (fun f -> Filename.check_suffix f ".replay")
+         (Array.to_list (Sys.readdir trace_dir))
+     with
+     | [ f ] ->
+       let path = Filename.concat trace_dir f in
+       (text, path, read_file path)
+     | files ->
+       Alcotest.failf "expected one replay entry, found %d" (List.length files))
+
+let test_replay_store_hit () =
+  let text, path, original = Lazy.force replay_fixture in
+  write_file path original;
+  let study = Study.load ~workloads:(replay_workloads ()) () in
+  Alcotest.(check string) "a store hit renders byte-identically" text
+    (render_predictors study);
+  Alcotest.(check bool) "served from the replay entry" true
+    (List.for_all (fun (s : Tracing.shared) -> s.sh_from_store)
+       (Tracing.shared study))
+
+(* poisoned replay entries: any corruption either misses (the trace is
+   replayed again) or leaves the bytes untouched; either way tournament
+   and h2p render exactly as from an empty store *)
+let prop_poisoned_replay_entry =
+  QCheck2.Test.make ~count:60
+    ~name:"corrupted replay entries are replayed again, never trusted"
+    ~print:(fun ops -> String.concat "; " (List.map Corrupt.op_name ops))
+    Gen.(list_size (int_range 1 3) Corrupt.op_gen)
+    (fun ops ->
+      let text, path, original = Lazy.force replay_fixture in
+      let corrupted = List.fold_left Corrupt.apply_op original ops in
+      write_file path corrupted;
+      let study = Study.load ~workloads:(replay_workloads ()) () in
+      let rendered = render_predictors study in
+      let served =
+        List.exists (fun (s : Tracing.shared) -> s.sh_from_store)
+          (Tracing.shared study)
+      in
+      String.equal rendered text
+      && ((not served) || String.equal corrupted original))
 
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
@@ -362,5 +495,15 @@ let () =
             test_warm_cache_identical;
           Alcotest.test_case "progress events" `Quick test_progress_events;
         ] );
-      ("poisoning", q [ prop_poisoned_entry_never_trusted ]);
+      ( "tracestore",
+        [
+          Alcotest.test_case "key covers every component" `Quick
+            test_replay_key_components;
+          Alcotest.test_case "entries serve only their key" `Quick
+            test_replay_entry_keying;
+          Alcotest.test_case "hit renders identically" `Quick
+            test_replay_store_hit;
+        ] );
+      ( "poisoning",
+        q [ prop_poisoned_entry_never_trusted; prop_poisoned_replay_entry ] );
     ]

@@ -5,6 +5,11 @@ module Study = Fisher92.Study
 module E = Fisher92.Experiments
 module Registry = Fisher92_workloads.Registry
 module Workload = Fisher92_workloads.Workload
+module Ast = Fisher92_minic.Ast
+module Fingerprint = Fisher92_analysis.Fingerprint
+module Study_cache = Fisher92.Study_cache
+module Tracing = Fisher92.Tracing
+module Trace = Fisher92_trace.Trace
 
 (* a small but representative slice: one single-dataset FORTRAN program,
    one multi-dataset FORTRAN, both compress modes, one branchy C program *)
@@ -196,6 +201,105 @@ let test_render_all_nonempty () =
       "instrumentation overhead"; "Coverage"; "Stale-profile";
     ]
 
+(* ---------- store keys ---------- *)
+
+(* Run [f] with the study cache and the trace store enabled in fresh
+   private directories, restoring the environment afterwards. *)
+let with_private_stores f =
+  let fresh prefix =
+    let d = Filename.temp_file prefix ".d" in
+    Sys.remove d;
+    Unix.mkdir d 0o700;
+    d
+  in
+  let vars =
+    [
+      ("FISHER92_CACHE_DIR", fresh "f92stale-cache");
+      ("FISHER92_NO_CACHE", "");
+      ("FISHER92_TRACE_DIR", fresh "f92stale-traces");
+      ("FISHER92_NO_TRACE", "");
+    ]
+  in
+  let saved =
+    List.map
+      (fun (k, _) -> (k, Option.value ~default:"" (Sys.getenv_opt k)))
+      vars
+  in
+  List.iter (fun (k, v) -> Unix.putenv k v) vars;
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun (k, v) -> Unix.putenv k v) saved)
+    f
+
+(* compress with its hash multiplier 40503 retuned to 40499: one
+   immediate operand changes, no branch site moves. *)
+let retuned_compress () =
+  let w = Registry.find "compress" in
+  let edits = ref 0 in
+  let rec retune = function
+    | Ast.Int 40503 ->
+      incr edits;
+      Ast.Int 40499
+    | Ast.Binop (op, a, b) -> Ast.Binop (op, retune a, retune b)
+    | e -> e
+  in
+  let p = w.Workload.w_program in
+  let funcs =
+    List.map
+      (fun (f : Ast.fundecl) ->
+        {
+          f with
+          f_body =
+            Ast.map_block
+              (function
+                | Ast.Let (x, ty, e) -> Ast.Let (x, ty, retune e)
+                | st -> st)
+              f.f_body;
+        })
+      p.funcs
+  in
+  Alcotest.(check int) "one multiplier retuned" 1 !edits;
+  (w, { w with w_program = { p with funcs } })
+
+(* The stores key on the whole build: a constant edit that keeps every
+   branch site where it was (so the structural program hash stays put)
+   must still miss both stores, and a warm load must report the edited
+   run rather than the stored one. *)
+let test_edited_constant_misses () =
+  with_private_stores (fun () ->
+      let w, edited = retuned_compress () in
+      let ir = Study.compile_variant w and ir' = Study.compile_variant edited in
+      Alcotest.(check string) "the structural hash cannot tell them apart"
+        (Fingerprint.program_hash ir)
+        (Fingerprint.program_hash ir');
+      let fp = Fingerprint.content_hash ir
+      and fp' = Fingerprint.content_hash ir' in
+      Alcotest.(check bool) "content hashes differ" false (String.equal fp fp');
+      let instructions (l : Study.loaded) =
+        (List.hd l.runs).counts.Fisher92_metrics.Breaks.instructions
+      in
+      (* warm both stores with the original build *)
+      let original = List.hd (Study.items (Study.load ~workloads:[ w ] ())) in
+      Alcotest.(check int) "original run" 876_096 (instructions original);
+      let d = List.hd w.w_datasets in
+      ignore (Tracing.obtain ~ir ~program:w.w_name d : Tracing.obtained);
+      let dshash = Study_cache.dataset_hash d in
+      let n_sites = Fisher92_ir.Program.n_sites ir' in
+      Alcotest.(check bool) "the original build hits the study cache" true
+        (Option.is_some
+           (Study_cache.lookup ~fingerprint:fp ~dshash ~n_sites
+              ~program:w.w_name d));
+      Alcotest.(check bool) "the edited build misses the study cache" true
+        (Option.is_none
+           (Study_cache.lookup ~fingerprint:fp' ~dshash ~n_sites
+              ~program:w.w_name d));
+      Alcotest.(check bool) "the edited build misses the trace store" true
+        (Option.is_none
+           (Trace.Store.load ~program:w.w_name ~dataset:d.ds_name
+              ~fingerprint:fp' ~dshash ~n_sites));
+      let warm = List.hd (Study.items (Study.load ~workloads:[ edited ] ())) in
+      Alcotest.(check int) "a warm load reports the edited run" 873_386
+        (instructions warm))
+
 let test_render_table2 () =
   let text = E.render_table2 () in
   List.iter
@@ -229,6 +333,11 @@ let () =
           Alcotest.test_case "inline sane" `Quick test_inline_reduces_call_breaks;
           Alcotest.test_case "staleness: remap beats heuristic" `Slow
             test_staleness_remap_beats_heuristic;
+        ] );
+      ( "stores",
+        [
+          Alcotest.test_case "edited constant misses both stores" `Quick
+            test_edited_constant_misses;
         ] );
       ( "render",
         [

@@ -2,6 +2,7 @@ module Rng = Fisher92_util.Rng
 module Stats = Fisher92_util.Stats
 module Env = Fisher92_util.Env
 module Varint = Fisher92_util.Varint
+module Fnv = Fisher92_util.Fnv
 
 let test_determinism () =
   let a = Rng.create 42 and b = Rng.create 42 in
@@ -398,6 +399,22 @@ let prop_zigzag_order =
       (* |zigzag n| grows with |n|, so varint length tracks magnitude *)
       Varint.zigzag n = if n >= 0 then 2 * n else (-2 * n) - 1)
 
+(* The published FNV-1a 64-bit test vectors: every store key and
+   section checksum in the repository is one of these hashes. *)
+let test_fnv_vectors () =
+  List.iter
+    (fun (input, want) ->
+      Alcotest.(check string) (Printf.sprintf "fnv1a64 %S" input) want
+        (Fnv.hex input))
+    [
+      ("", "cbf29ce484222325");
+      ("a", "af63dc4c8601ec8c");
+      ("foobar", "85944171f73967e8");
+    ];
+  Alcotest.(check string) "folding in pieces = hashing the whole"
+    (Fnv.hex "foobar")
+    (Fnv.to_hex (Fnv.fold (Fnv.fold Fnv.seed "foo") "bar"))
+
 let () =
   Alcotest.run "util"
     [
@@ -433,6 +450,8 @@ let () =
           Alcotest.test_case "entropy_bits" `Quick test_entropy_bits;
           Alcotest.test_case "pearson" `Quick test_pearson;
         ] );
+      ( "fnv",
+        [ Alcotest.test_case "FNV-1a-64 vectors" `Quick test_fnv_vectors ] );
       ( "varint",
         [
           Alcotest.test_case "zigzag extremes pinned" `Quick

@@ -553,8 +553,7 @@ let test_store_hit_miss_identical () =
       (fun ((_ : Fisher92.Study.loaded), (ob : Tracing.obtained), races) ->
         ( ob.Tracing.from_store,
           List.map
-            (fun (rc : Tracing.raced) ->
-              (tallies rc.rc_cold, tallies rc.rc_warm))
+            (fun (rc : Tracing.raced) -> (rc.rc_cold, rc.rc_warm))
             races ))
       results
   in
@@ -573,13 +572,12 @@ let test_store_hit_miss_identical () =
 (* ---------- the shared replay ---------- *)
 
 let race_tallies races =
-  List.map
-    (fun (rc : Tracing.raced) -> (tallies rc.rc_cold, tallies rc.rc_warm))
-    races
+  List.map (fun (rc : Tracing.raced) -> (rc.rc_cold, rc.rc_warm)) races
 
 (* The memo's contract: the five trace sections over one study share a
-   single replay; a separately loaded study gets its own; and what it
-   serves equals an unmemoized race over the same study. *)
+   single replay; a separately loaded study gets its own (read from the
+   replay entry the first one saved); and what it serves equals an
+   unmemoized race over the same study. *)
 let test_shared_memo () =
   let load () =
     Fisher92.Study.load
@@ -617,7 +615,8 @@ let test_shared_memo () =
 (* 1-bit and every zoo scheme, cold and profile-warmed, driven inline
    by the VM's [on_branch] hook over every registry workload's first
    dataset — thirteen simulators on one VM run — must tally exactly,
-   per site, what the shared replay's batched simulators report: the
+   per site, what the shared replay reports, whether its batched
+   simulators just ran or their tallies came from a replay entry: the
    numbers the five predictor sections render. *)
 let test_inline_hook_oracle () =
   let study = Fisher92.Study.load () in
@@ -672,15 +671,15 @@ let test_inline_hook_oracle () =
           Alcotest.(check (pair int int))
             (what ^ " correct/incorrect")
             (Dynamic.correct sim, Dynamic.incorrect sim)
-            (Dynamic.correct replayed, Dynamic.incorrect replayed);
+            (Tracing.correct replayed, Tracing.incorrect replayed);
           Alcotest.(check (array int))
             (what ^ " per-site correct")
             (Dynamic.site_correct sim)
-            (Dynamic.site_correct replayed);
+            replayed.Tracing.site_correct;
           Alcotest.(check (array int))
             (what ^ " per-site incorrect")
             (Dynamic.site_incorrect sim)
-            (Dynamic.site_incorrect replayed))
+            replayed.Tracing.site_incorrect)
         pairs)
     (Tracing.shared study)
 
