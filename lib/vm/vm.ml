@@ -352,4 +352,8 @@ let run ?(config = default_config) (p : Program.t) ~iargs ~fargs ~arrays =
   in
   match engine with
   | Interp -> run_interp ~config ~mem p ~iargs ~fargs
-  | Threaded -> Exec.run ~config ~mem p ~iargs ~fargs
+  | Threaded ->
+    (* the threaded engine skips register bounds checks, so a program
+       they would catch runs on the interpreter, which raises for it *)
+    if Exec.in_range p then Exec.run ~config ~mem p ~iargs ~fargs
+    else run_interp ~config ~mem p ~iargs ~fargs

@@ -15,12 +15,20 @@
     Two interchangeable engines execute the IR.  The {e reference
     interpreter} is a per-instruction dispatch loop; the
     {e closure-threaded engine} ({!Exec}) pre-compiles each function's
-    basic blocks into OCaml closures once per run, eliminating the
-    dispatch match, the per-op fuel decrement, and all hook tests from
-    the hot loop.  Both produce bit-identical results (the differential
-    suite enforces this); the threaded engine is the default, and
-    {!config}[.engine] or the [FISHER92_ENGINE] environment knob selects
-    one explicitly. *)
+    basic blocks into continuation-chained OCaml closures once per run,
+    eliminating the dispatch match, the per-op fuel decrement, the
+    register bounds checks, all hook tests and all per-call allocation
+    from the hot path.  Both produce bit-identical results (the
+    differential suite enforces this); the threaded engine is the
+    default, and {!config}[.engine] or the [FISHER92_ENGINE] environment
+    knob selects one explicitly.
+
+    A program that fails {!Exec.in_range} (a register operand outside
+    its function's register files, a parameter count larger than them,
+    an undeclared array, a branch site at or above [Program.n_sites], or
+    a direct call to a missing callee or with more arguments than the
+    callee takes) runs on the interpreter even when [Threaded] is
+    selected, so it raises exactly what the interpreter raises. *)
 
 exception Trap of string
 (** Runtime error in the simulated program: array index out of bounds,
