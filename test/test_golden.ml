@@ -1,5 +1,6 @@
 (* The byte-identity contract: every registered experiment, rendered on
-   the trimmed study, must equal its committed golden file exactly.
+   the trimmed study as text and as TSV, must equal its committed golden
+   files ([<id>.txt], [<id>.tsv]) exactly.
    The goldens were captured before the experiment/predictor registries
    existed, so passing here proves the refactor preserved every output
    byte.  Regenerate (only on an intended output change) with:
@@ -35,50 +36,38 @@ let read_file path =
    asserted by its own suite *)
 let non_experiment = [ "zoo_streams" (* test_zoo.ml *) ]
 
-(* Registry ids and golden files must be the same set: a registered
-   experiment without a golden (or a stale orphan golden) is a failure,
-   so nobody can add an experiment without pinning its output. *)
+(* Registry ids and golden files must be the same set, for each suffix:
+   a registered experiment without a golden (or a stale orphan golden)
+   is a failure, so nobody can add an experiment without pinning its
+   output. *)
 let test_registry_matches_goldens () =
   let ids =
     List.sort compare
       (List.map (fun e -> e.Experiment.e_id) (Fisher92_synth.Sweep.registry ()))
   in
-  let files =
-    Sys.readdir golden_dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".txt")
-    |> List.map (fun f -> Filename.chop_suffix f ".txt")
-    |> List.filter (fun id -> not (List.mem id non_experiment))
-    |> List.sort compare
-  in
-  Alcotest.(check (list string)) "golden file set = registry id set" ids files
+  List.iter
+    (fun suffix ->
+      let files =
+        Sys.readdir golden_dir |> Array.to_list
+        |> List.filter (fun f -> Filename.check_suffix f suffix)
+        |> List.map (fun f -> Filename.chop_suffix f suffix)
+        |> List.filter (fun id -> not (List.mem id non_experiment))
+        |> List.sort compare
+      in
+      Alcotest.(check (list string))
+        ("golden " ^ suffix ^ " file set = registry id set")
+        ids files)
+    [ ".txt"; ".tsv" ]
 
 let test_render (e : Experiment.t) () =
   let expected = read_file (Filename.concat golden_dir (e.e_id ^ ".txt")) in
   let actual = Experiment.render_text e mini in
   Alcotest.(check string) (e.e_id ^ " render is byte-identical") expected actual
 
-(* TSV sanity: one header line, and every data line has exactly the
-   header's arity.  (Values are already pinned transitively: TSV cells
-   and the golden-checked text render read the same row lists.) *)
 let test_tsv (e : Experiment.t) () =
-  let (Experiment.Shape sh) = e.Experiment.e_shape in
-  let tsv = Experiment.render_tsv e mini in
-  let lines = String.split_on_char '\n' tsv in
-  let arity l = List.length (String.split_on_char '\t' l) in
-  match lines with
-  | header :: rest ->
-    Alcotest.(check string)
-      (e.e_id ^ " tsv header")
-      (String.concat "\t" sh.Experiment.sh_columns)
-      header;
-    List.iter
-      (fun l ->
-        if not (String.equal l "") then
-          Alcotest.(check int)
-            (e.e_id ^ " tsv row arity")
-            (arity header) (arity l))
-      rest
-  | [] -> Alcotest.fail "empty tsv"
+  let expected = read_file (Filename.concat golden_dir (e.e_id ^ ".tsv")) in
+  let actual = Experiment.render_tsv e mini in
+  Alcotest.(check string) (e.e_id ^ " tsv is byte-identical") expected actual
 
 let () =
   let renders =
