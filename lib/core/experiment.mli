@@ -4,8 +4,9 @@
     paper section it reproduces, a one-line description, and an
     existentially packed {!shape} — the row type stays abstract while
     the value carries everything needed to compute the rows from a
-    (lazily loaded) study and to render them as the paper-style text
-    block or as machine-readable TSV.
+    (lazily loaded) study, and one column spec
+    ({!Fisher92_report.Table.column}) that renders them both as the
+    paper-style text block and as machine-readable TSV.
 
     [Experiments] populates the registry at module-initialization time;
     the CLI and the benchmark driver derive their section lists,
@@ -14,21 +15,19 @@
     [Experiments] module (e.g. via [Experiments.registry]) to force its
     registrations to run — OCaml only initializes linked modules. *)
 
-type 'row shape = {
+type ('row, 'line) shape = {
   sh_compute : Study.t Lazy.t -> 'row list;
       (** Forcing the study is the experiment's choice: the inventory
           table never touches it, so listing it stays free. *)
-  sh_render : 'row list -> string;  (** the paper-style text block *)
-  sh_chart : ('row list -> string) option;
-      (** the bar-chart part alone, for experiments rendered as
-          figures; [None] for plain tables *)
-  sh_columns : string list;  (** TSV header *)
-  sh_cells : 'row -> string list list;
-      (** TSV lines per row (several for experiments whose text table
-          nests per-dataset lines under one row) *)
+  sh_lines : 'row -> 'line list;
+      (** the table lines of one row: the row itself, or several for
+          experiments that nest per-dataset lines under one row *)
+  sh_columns : 'line Fisher92_report.Table.column list;
+      (** the table, declared once for both sinks *)
+  sh_text : 'row list -> string;  (** the paper-style text block *)
 }
 
-type packed = Shape : 'row shape -> packed
+type packed = Shape : ('row, 'line) shape -> packed
 
 type t = {
   e_id : string;  (** section name, e.g. ["fig2"] *)
@@ -41,20 +40,39 @@ val make :
   id:string ->
   paper:string ->
   descr:string ->
-  ?chart:('row list -> string) ->
-  render:('row list -> string) ->
-  columns:string list ->
-  cells:('row -> string list list) ->
+  ?title:string ->
+  ?order:('row -> 'row -> int) ->
+  ?footer:('row list -> string) ->
+  ?text:('row list -> string) ->
+  columns:'row Fisher92_report.Table.column list ->
   (Study.t Lazy.t -> 'row list) ->
   t
+(** An experiment whose table has one line per row.  Its text is
+    [title] (plus a newline), the columns' text table over the rows
+    sorted by [order] (default: as computed), then [footer] of the rows
+    as computed.  [text] replaces that whole block, for sections whose
+    text is not one column table (bar charts, split tables); their TSV
+    still comes from [columns]. *)
 
-val fcell : float -> string
-(** TSV float formatting, [%.6g]. *)
+val make_nested :
+  id:string ->
+  paper:string ->
+  descr:string ->
+  ?title:string ->
+  ?order:('row -> 'row -> int) ->
+  ?footer:('row list -> string) ->
+  ?text:('row list -> string) ->
+  lines:('row -> 'line list) ->
+  columns:'line Fisher92_report.Table.column list ->
+  (Study.t Lazy.t -> 'row list) ->
+  t
+(** {!make} for rows that expand into several table lines, in both
+    sinks. *)
 
 val render_text : t -> Study.t Lazy.t -> string
 
 val render_tsv : t -> Study.t Lazy.t -> string
-(** One tab-separated header line, then the rows' cell lines. *)
+(** One tab-separated header line, then one line per table line. *)
 
 (** {2 Registry} *)
 

@@ -67,3 +67,56 @@ let render ~header rows =
   Buffer.add_char buf '\n';
   List.iter (fun row -> emit_row row ~is_header:false) rows;
   Buffer.contents buf
+
+(* ---- column specs ---- *)
+
+type cell =
+  | Str of string
+  | Int of int
+  | Count of int
+  | Pct of float
+  | Num of int * float
+  | Fmt of (float -> string) * float
+  | Split of string * string
+
+let text_cell = function
+  | Str s | Split (s, _) -> s
+  | Int n -> string_of_int n
+  | Count n -> inum n
+  | Pct x -> pct x
+  | Num (decimals, x) -> fnum ~decimals x
+  | Fmt (f, x) -> f x
+
+let tsv_cell = function
+  | Str s | Split (_, s) -> s
+  | Int n | Count n -> string_of_int n
+  | Pct x | Num (_, x) | Fmt (_, x) -> Printf.sprintf "%.6g" x
+
+let hide c = Split ("", tsv_cell c)
+
+type 'row column = {
+  header : string option;
+  name : string option;
+  cell : 'row -> cell;
+}
+
+let col header name cell = { header = Some header; name = Some name; cell }
+let text_col header cell = { header = Some header; name = None; cell }
+let tsv_col name cell = { header = None; name = Some name; cell }
+
+let text columns rows =
+  let cols = List.filter (fun c -> Option.is_some c.header) columns in
+  render
+    ~header:(List.filter_map (fun c -> c.header) cols)
+    (List.map (fun r -> List.map (fun c -> text_cell (c.cell r)) cols) rows)
+
+let tsv columns rows =
+  let cols = List.filter (fun c -> Option.is_some c.name) columns in
+  let buf = Buffer.create 1024 in
+  let line cells =
+    Buffer.add_string buf (String.concat "\t" cells);
+    Buffer.add_char buf '\n'
+  in
+  line (List.filter_map (fun c -> c.name) cols);
+  List.iter (fun r -> line (List.map (fun c -> tsv_cell (c.cell r)) cols)) rows;
+  Buffer.contents buf
