@@ -80,6 +80,11 @@ val render : item list -> string
 (** The [synthpool] text block: pool summary, per-class table, failure
     tail. *)
 
+val columns : item Fisher92_report.Table.column list
+(** The [synthpool] TSV: one line per grid point, with its parameters,
+    its characterization and its predictor roster's miss rates.
+    [fisher92 synth sweep --format=tsv] prints the same columns. *)
+
 val registry : unit -> Fisher92.Experiment.t list
 (** The full experiment registry with the synth registrations forced:
     the core experiments (whose module initialization registers them
