@@ -21,11 +21,6 @@ let cls_name = function
   | Loop_bounded _ -> "loop-bounded"
   | Unknown -> "unknown"
 
-let proved_direction = function
-  | Proved_taken -> Some true
-  | Proved_not_taken -> Some false
-  | Loop_bounded _ | Unknown -> None
-
 let predicted_direction = function
   | Proved_taken -> Some true
   | Proved_not_taken -> Some false

@@ -44,13 +44,11 @@ val classify : Fisher92_ir.Program.t -> t
 val cls_name : cls -> string
 (** ["proved-taken"], ["loop-bounded"], ... *)
 
-val proved_direction : cls -> bool option
-(** The direction a [Proved_*] verdict pins down; [None] otherwise. *)
-
 val predicted_direction : cls -> bool option
-(** [proved_direction] plus the stay direction of a [Loop_bounded]
-    branch whose minimum trip count makes staying the majority
-    ([tr_min >= 2]: at least two stays per exit). *)
+(** The direction a [Proved_*] verdict pins down, or the stay direction
+    of a [Loop_bounded] branch whose minimum trip count makes staying
+    the majority ([tr_min >= 2]: at least two stays per exit); [None]
+    otherwise. *)
 
 val counts : t -> int * int * int * int
 (** (proved_taken, proved_not_taken, loop_bounded, unknown). *)

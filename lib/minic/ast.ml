@@ -80,31 +80,6 @@ let rec is_pure = function
   | Cond (c, a, b) -> is_pure c && is_pure a && is_pure b
   | And _ | Or _ | Call _ | Call_ptr _ -> false
 
-let rec expr_uses_var name = function
-  | Var v -> String.equal v name
-  | Int _ | Float _ | Global _ | Fnptr _ -> false
-  | Load (_, e) | Unop (_, e) | Cast (_, e) -> expr_uses_var name e
-  | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) ->
-    expr_uses_var name a || expr_uses_var name b
-  | Cond (c, a, b) ->
-    expr_uses_var name c || expr_uses_var name a || expr_uses_var name b
-  | Call (_, args) -> List.exists (expr_uses_var name) args
-  | Call_ptr (f, args, _) ->
-    expr_uses_var name f || List.exists (expr_uses_var name) args
-
-let rec expr_uses_global name = function
-  | Global g -> String.equal g name
-  | Int _ | Float _ | Var _ | Fnptr _ -> false
-  | Load (_, e) | Unop (_, e) | Cast (_, e) -> expr_uses_global name e
-  | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) ->
-    expr_uses_global name a || expr_uses_global name b
-  | Cond (c, a, b) ->
-    expr_uses_global name c || expr_uses_global name a
-    || expr_uses_global name b
-  | Call (_, args) -> List.exists (expr_uses_global name) args
-  | Call_ptr (f, args, _) ->
-    expr_uses_global name f || List.exists (expr_uses_global name) args
-
 let rec iter_exprs_stmt visit = function
   | Let (_, _, e) | Assign (_, e) | Global_assign (_, e) | Expr e | Output e ->
     visit e

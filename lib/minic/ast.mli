@@ -107,11 +107,6 @@ val is_pure : expr -> bool
     bounds traps are a simulator artefact the optimizer may ignore, like a
     real ILP compiler speculating loads). *)
 
-val expr_uses_var : string -> expr -> bool
-(** Does the expression read the named local? *)
-
-val expr_uses_global : string -> expr -> bool
-
 val iter_exprs_stmt : (expr -> unit) -> stmt -> unit
 (** Visit every top-level expression of a statement and, recursively, of
     its sub-blocks. *)

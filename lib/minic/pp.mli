@@ -2,6 +2,5 @@
     Used for debugging, test counterexamples, and documentation. *)
 
 val expr_to_string : Ast.expr -> string
-val stmt_to_string : ?indent:int -> Ast.stmt -> string
 val block_to_string : ?indent:int -> Ast.block -> string
 val program_to_string : Ast.program -> string

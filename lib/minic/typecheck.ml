@@ -34,20 +34,10 @@ let func_sig env name =
   | Some s -> s
   | None -> err "unknown function %s" name
 
-let fn_slot env name = Hashtbl.find env.slots name
-
 let locals env fname =
   match Hashtbl.find_opt env.local_order fname with
   | Some l -> l
   | None -> err "unknown function %s" fname
-
-let local_ty env ~fname name =
-  match Hashtbl.find_opt env.scopes fname with
-  | None -> err "unknown function %s" fname
-  | Some scope -> (
-    match Hashtbl.find_opt scope name with
-    | Some ty -> ty
-    | None -> err "%s: unknown variable %s" fname name)
 
 (* Hoist all Let-declared locals (and For induction variables) of a body. *)
 let collect_locals fname params body =

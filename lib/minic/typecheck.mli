@@ -19,15 +19,10 @@ val program : env -> Ast.program
 val global_ty : env -> string -> Ast.ty
 val array_info : env -> string -> Ast.ty * int
 val func_sig : env -> string -> Ast.param list * Ast.ty option
-val fn_slot : env -> string -> int
-(** Slot of a function in the pointer table.  @raise Not_found. *)
 
 val locals : env -> string -> (string * Ast.ty) list
 (** All locals (excluding parameters) of the named function, in first-
     occurrence order. *)
-
-val local_ty : env -> fname:string -> string -> Ast.ty
-(** Type of a parameter or local of function [fname]. *)
 
 val type_expr : env -> fname:string -> Ast.expr -> Ast.ty
 (** Type of a well-typed expression in the context of [fname].

@@ -67,8 +67,6 @@ val all : unit -> t list
 
 val find : string -> t option
 
-val by_provenance : provenance -> t list
-
 val heuristic_family : unit -> t list
 (** The structural predictors, in the heuristics table's column order. *)
 

@@ -50,9 +50,3 @@ let fortran_fp () =
 
 let c_integer () =
   List.filter (fun w -> w.Workload.w_lang = Workload.C_int) (all ())
-
-let multi_dataset () =
-  List.filter (fun w -> List.length w.Workload.w_datasets >= 2) (all ())
-
-let single_dataset () =
-  List.filter (fun w -> List.length w.Workload.w_datasets < 2) (all ())

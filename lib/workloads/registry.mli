@@ -23,10 +23,3 @@ val extras : unit -> Workload.t list
 
 val fortran_fp : unit -> Workload.t list
 val c_integer : unit -> Workload.t list
-
-val multi_dataset : unit -> Workload.t list
-(** Workloads with at least two datasets (the ones eligible for the
-    cross-prediction experiments of Figures 2 and 3). *)
-
-val single_dataset : unit -> Workload.t list
-(** Workloads reported in Table 3 (one meaningful dataset). *)

@@ -142,14 +142,3 @@ let binary_image ~seed ~size =
 let random_bytes ~seed ~size =
   let rng = Rng.create seed in
   Array.init size (fun _ -> Rng.int rng 256)
-
-let float_table ~seed ~rows ~jitter =
-  let rng = Rng.create seed in
-  let buf = Buffer.create (rows * 32) in
-  for r = 1 to rows do
-    let base = float_of_int r *. 1.75 in
-    let x = base +. (jitter *. Rng.float rng 1.0) in
-    let y = (base *. 0.5) -. (jitter *. Rng.float rng 1.0) in
-    Buffer.add_string buf (Printf.sprintf "%.4f %.4f %.4f\n" x y (x +. y))
-  done;
-  Buffer.contents buf

@@ -24,9 +24,5 @@ val binary_image : seed:int -> size:int -> int array
 val random_bytes : seed:int -> size:int -> int array
 (** Incompressible noise (every byte uniform). *)
 
-val float_table : seed:int -> rows:int -> jitter:float -> string
-(** Rows of floating-point numbers rendered as text, for the spiff
-    datasets; [jitter] perturbs a fixed base table. *)
-
 val to_bytes : string -> int array
 (** Byte array of a string. *)

@@ -405,7 +405,6 @@ let make_dataset name descr ~nodes ~mode ?(tsteps = 0) ?(dt = 0.001)
 
 let resistor a b ohms = { ty = 0; a; b; value = ohms }
 let vsource a b volts = { ty = 1; a; b; value = volts }
-let isource a b amps = { ty = 2; a; b; value = amps }
 let capacitor a b farads = { ty = 3; a; b; value = farads }
 let bjt a b sat = { ty = 4; a; b; value = sat }
 let fet a b beta = { ty = 5; a; b; value = beta }

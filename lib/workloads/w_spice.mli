@@ -13,7 +13,6 @@ type elem = { ty : int; a : int; b : int; value : float }
 
 val resistor : int -> int -> float -> elem
 val vsource : int -> int -> float -> elem
-val isource : int -> int -> float -> elem
 val capacitor : int -> int -> float -> elem
 val bjt : int -> int -> float -> elem
 val fet : int -> int -> float -> elem
