@@ -52,6 +52,37 @@ let test_table_numeric_right_aligned () =
   let row_x = List.nth lines 2 and row_y = List.nth lines 3 in
   Alcotest.(check int) "same width" (String.length row_y) (String.length row_x)
 
+(* One column spec, two sinks: one-sided columns drop out of the other
+   sink, and each cell prints its own way in each. *)
+let test_table_columns () =
+  let columns =
+    Table.
+      [
+        col "NAME" "name" (fun (n, _, _) -> Str n);
+        col "N" "n" (fun (_, k, _) -> Count k);
+        tsv_col "raw" (fun (_, _, x) -> Num (1, x));
+        col "SHARE" "share" (fun (_, _, x) -> Pct x);
+        text_col "OK" (fun (_, k, _) ->
+            if k > 0 then Split ("yes", "true") else Split ("NO", "false"));
+        col "FIRST" "first" (fun (n, k, _) ->
+            if k > 0 then Str n else hide (Str n));
+      ]
+  in
+  let rows = [ ("alpha", 12345, 83.4219); ("b", 0, 0.5) ] in
+  Alcotest.(check string) "text"
+    (Table.render
+       ~header:[ "NAME"; "N"; "SHARE"; "OK"; "FIRST" ]
+       [
+         [ "alpha"; "12,345"; "83.4%"; "yes"; "alpha" ];
+         [ "b"; "0"; "0.5%"; "NO"; "" ];
+       ])
+    (Table.text columns rows);
+  Alcotest.(check string) "tsv"
+    "name\tn\traw\tshare\tfirst\n\
+     alpha\t12345\t83.4219\t83.4219\talpha\n\
+     b\t0\t0.5\t0.5\tb\n"
+    (Table.tsv columns rows)
+
 (* ---- charts ---- *)
 
 let test_chart_basic () =
@@ -126,6 +157,7 @@ let () =
           Alcotest.test_case "alignment" `Quick test_table_alignment;
           Alcotest.test_case "numeric right-aligned" `Quick
             test_table_numeric_right_aligned;
+          Alcotest.test_case "column spec" `Quick test_table_columns;
         ] );
       ( "chart",
         [
