@@ -9,8 +9,7 @@
    fisher92 experiments [SECTION...]    regenerate paper tables/figures
                                         (--list for the registry,
                                         --format=tsv for machine output)
-   fisher92 db check|repair|migrate     verify / salvage / upgrade profile
-                                        databases
+   fisher92 db check|repair             verify / salvage profile databases
    fisher92 trace record|info|sim       capture, inspect, and replay branch
                                         traces (trace-driven simulation)
    fisher92 serve PROG --dir DIR        crash-safe profile-ingest service
@@ -334,18 +333,22 @@ let db_cmd =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
            ~doc:"Write the result here instead of overwriting FILE")
   in
+  (* A file in another format is a usage error, not a database to
+     salvage nothing from and overwrite. *)
+  let salvage file text =
+    match Db.load_lenient text with
+    | _, { Db.r_version = 0; r_dropped = i :: _; _ } ->
+      usage_error file i.Db.i_reason
+    | loaded -> loaded
+  in
   let check =
     let run file prog =
       let text = read_file file in
-      let strict =
-        match Db.load text with
-        | _ -> None
-        | exception Failure msg -> Some msg
-      in
-      (match strict with
-      | None -> Printf.printf "%s: strict load ok\n" file
-      | Some msg -> Printf.printf "%s: strict load FAILED: %s\n" file msg);
-      let db, report = Db.load_lenient text in
+      let db, report = salvage file text in
+      (match Db.load text with
+      | _ -> Printf.printf "%s: strict load ok\n" file
+      | exception Failure msg ->
+        Printf.printf "%s: strict load FAILED: %s\n" file msg);
       print_string (Db.render_report report);
       (match prog with
       | None -> ()
@@ -363,7 +366,7 @@ let db_cmd =
           "  provenance: %d exact, %d remapped, %d proof, %d heuristic, \
            %d default\n"
           e r pf h d);
-      if strict <> None || not (Db.clean report) then exit 1
+      if not (Db.clean report) then exit 1
     in
     let prog =
       Arg.(value & opt (some string) None & info [ "program" ] ~docv:"PROGRAM"
@@ -375,12 +378,13 @@ let db_cmd =
          ~doc:
            "Verify a profile database: strict load, salvage report, and \
             (with --program) staleness/provenance against the current build. \
-            Exits 1 unless the file is fully intact.")
+            Exits 1 unless the file is fully intact, and 2 if it is not an \
+            ifprobdb2 database.")
       Term.(const run $ file_arg $ prog)
   in
   let repair =
     let run file output =
-      let db, report = Db.load_lenient (read_file file) in
+      let db, report = salvage file (read_file file) in
       print_string (Db.render_report report);
       let dest = match output with Some o -> o | None -> file in
       save_file db dest;
@@ -391,33 +395,13 @@ let db_cmd =
       (Cmd.info "repair"
          ~doc:
            "Salvage whatever checksum-verified sections survive in a damaged \
-            database and rewrite it as clean v2.")
-      Term.(const run $ file_arg $ out_arg)
-  in
-  let migrate =
-    let run file output =
-      let db =
-        match Db.load_file file with
-        | db -> db
-        | exception Failure msg -> usage_error file msg
-        | exception Sys_error msg -> usage_error file (sys_error_reason msg)
-      in
-      let dest = match output with Some o -> o | None -> file in
-      save_file db dest;
-      Printf.printf "wrote %s (v2, %d datasets)\n" dest
-        (List.length (Db.datasets db))
-    in
-    Cmd.v
-      (Cmd.info "migrate"
-         ~doc:
-           "Strict-load a v1 or v2 database and rewrite it in the v2 format. \
-            Idempotent: migrating a v2 file reproduces it byte for byte.")
+            database and rewrite it clean. A file that is not an ifprobdb2 \
+            database is left as it was (exit 2).")
       Term.(const run $ file_arg $ out_arg)
   in
   Cmd.group
-    (Cmd.info "db"
-       ~doc:"Inspect, salvage, and migrate IFPROB profile databases")
-    [ check; repair; migrate ]
+    (Cmd.info "db" ~doc:"Inspect and salvage IFPROB profile databases")
+    [ check; repair ]
 
 (* ---- trace ---- *)
 
@@ -1040,10 +1024,10 @@ let synth_charz_cmd =
     let rows =
       List.map
         (fun (l : Fisher92.Study.loaded) ->
-          Charz.row ~name:l.workload.Workload.w_name (Charz.characterize l))
+          (l.workload.Workload.w_name, Charz.characterize l))
         (Fisher92.Study.items study)
     in
-    print_string (Table.render ~header:Charz.header rows)
+    print_string (Table.text Charz.columns rows)
   in
   let progs = Arg.(value & pos_all string [] & info [] ~docv:"PROGRAM") in
   Cmd.v

@@ -310,8 +310,8 @@ let open_ cfg =
   let stats = fresh_stats () in
   let notes = ref [] in
   let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
-  (* 1. The base database: strict load, salvage on damage, rebase on a
-     stale identity, fresh otherwise. *)
+  (* 1. The base database: whatever survives in it, rebased on a stale
+     identity, fresh otherwise. *)
   let dbp = db_path ~dir:cfg.c_dir in
   let base =
     if not (Sys.file_exists dbp) then begin
@@ -321,15 +321,17 @@ let open_ cfg =
       db
     end
     else
-      match Db.load_file dbp with
-      | db -> db
-      | exception Failure msg ->
-        let db, report = Db.load_lenient (Sectfile.read_file dbp) in
-        note "database damaged (%s); salvaged %d dataset(s), dropped %d issue(s)"
-          msg
+      let db, report = Db.load_lenient (Sectfile.read_file dbp) in
+      (match report.Db.r_dropped with
+      | [] -> ()
+      | i :: _ ->
+        note
+          "database damaged (line %d: %s); salvaged %d dataset(s), dropped %d \
+           issue(s)"
+          i.Db.i_line i.Db.i_reason
           (List.length report.Db.r_recovered)
-          (List.length report.Db.r_dropped);
-        db
+          (List.length report.Db.r_dropped));
+      db
   in
   let db_gen = Db.generation base in
   let base =
@@ -352,8 +354,7 @@ let open_ cfg =
      stale one, quarantine an unreadable one. *)
   let replayed =
     match Wal.replay ~dir:cfg.c_dir with
-    | None -> None
-    | Some r -> Some r
+    | replayed -> replayed
     | exception Sectfile.Bad (line, msg) ->
       let dst =
         quarantine_file ~dir:cfg.c_dir

@@ -88,7 +88,7 @@ let plan prog db =
   let fresh =
     match Db.fingerprint db with
     | Some fp -> String.equal fp (Fp.program_hash prog) && Db.n_sites db = n
-    | None -> Db.n_sites db = n (* legacy: trust a matching shape *)
+    | None -> Db.n_sites db = n (* no identity: trust a matching shape *)
   in
   let acc = Db.accumulated db in
   if fresh then begin

@@ -22,10 +22,12 @@
       it has one;
     + {b Default} — static not-taken, the last resort.
 
-    A legacy database with no fingerprint but the right site count is
-    trusted as Exact (the pre-v2 behaviour); with the wrong site count,
-    or when fingerprints mismatch and no site keys were stored, nothing
-    can be salvaged and the whole chain degrades to heuristic/default. *)
+    A database saved without identity (no fingerprint, as
+    {!Fisher92_profile.Db.create} leaves it until
+    {!Fisher92_profile.Db.set_identity}) but with the right site count is
+    trusted as Exact.  With the wrong site count, or when fingerprints
+    mismatch and no site keys were stored, nothing can be salvaged and
+    the whole chain degrades to heuristic/default. *)
 
 type provenance = Exact | Remapped | Proof | Heuristic | Default
 

@@ -81,18 +81,13 @@ let set_identity t ~fingerprint ~sitekeys =
 (* Serialization                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* v1 (legacy):
-     ifprobdb <program> <n_sites>
-     dataset <name-len> <name>
-     <site> <encountered> <taken>     (only non-zero sites)
-     end
-
-   v2 (written by [save]):
+(* The format, as [save] writes it:
      ifprobdb2
      meta
      program <len> <name>
      sites <n_sites>
      fingerprint <hex16>              (when known)
+     generation <n>                   (when compacted)
      endmeta <fnv1a64 of the section>
      sitemap                          (when site keys are known)
      <site> <len> <key>               (one line per site, in order)
@@ -115,21 +110,6 @@ let counter_lines (p : Profile.t) =
     p.encountered;
   List.rev !acc
 
-let save_v1 t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "ifprobdb %s %d\n" t.db_program t.db_sites);
-  List.iter
-    (fun d ->
-      let p = profile t ~dataset:d in
-      Buffer.add_string buf (Printf.sprintf "dataset %s\n" (sized d));
-      List.iter
-        (fun l -> Buffer.add_string buf (l ^ "\n"))
-        (counter_lines p);
-      Buffer.add_string buf "end\n")
-    (datasets t);
-  Buffer.contents buf
-
 let save t =
   let buf = Buffer.create 4096 in
   let section header body end_tag = add_section buf ~header ~body ~end_tag in
@@ -140,7 +120,7 @@ let save t =
     @ (match t.db_fp with Some fp -> [ "fingerprint " ^ fp ] | None -> [])
     @
     match t.db_gen with
-    | 0 -> []  (* absent on never-compacted dbs: v2 files stay byte-stable *)
+    | 0 -> []  (* absent on never-compacted dbs: their files stay byte-stable *)
     | g -> [ Printf.sprintf "generation %d" g ])
     "endmeta";
   (match t.db_keys with
@@ -164,8 +144,7 @@ let save t =
 (* ------------------------------------------------------------------ *)
 
 (* Parse errors ({!Sectfile.Bad}) carry the 1-based line they were
-   detected on; strict loading turns them into the documented [Failure],
-   lenient loading into report entries. *)
+   detected on; the salvage scan turns them into report entries. *)
 
 let parse_counter ~line ~n_sites s =
   match String.split_on_char ' ' s |> List.map int_of_string_opt with
@@ -186,55 +165,6 @@ let prefixed ~prefix s =
     Some (String.sub s (String.length prefix) (String.length s - String.length prefix))
   else None
 
-(* ---- v1, strict ---- *)
-
-let load_v1_strict (lines : string array) =
-  let header = lines.(0) in
-  match String.split_on_char ' ' header with
-  | [ "ifprobdb"; prog; sites ] ->
-    let n_sites =
-      match int_of_string_opt sites with
-      | Some n when n >= 0 -> n
-      | _ -> failf 1 "bad site count %S" sites
-    in
-    let db =
-      try create ~program:prog ~n_sites
-      with Invalid_argument m -> failf 1 "%s" m
-    in
-    let current = ref None in
-    for i = 1 to Array.length lines - 1 do
-      let line = lines.(i) and ln = i + 1 in
-      if String.equal line "" then ()
-      else
-        match prefixed ~prefix:"dataset " line with
-        | Some rest ->
-          (match !current with
-          | Some _ -> failf ln "dataset begins before previous end"
-          | None -> ());
-          let name = parse_sized ~line:ln ~what:"dataset name" rest in
-          current := Some (name, Profile.empty ~program:prog ~n_sites)
-        | None ->
-          if String.equal line "end" then (
-            match !current with
-            | None -> failf ln "end without dataset"
-            | Some (name, p) ->
-              (try record db ~dataset:name p
-               with Invalid_argument m -> failf ln "%s" m);
-              current := None)
-          else (
-            match !current with
-            | None -> failf ln "counter line outside dataset"
-            | Some (_, p) ->
-              add_counter p (parse_counter ~line:ln ~n_sites line))
-    done;
-    (match !current with
-    | Some _ -> failf (Array.length lines) "missing final end"
-    | None -> ());
-    db
-  | _ -> failf 1 "bad header %S" header
-
-(* ---- v2 section scanning (shared by strict and lenient) ---- *)
-
 let section_start l =
   String.equal l "meta" || String.equal l "sitemap"
   || String.starts_with ~prefix:"dataset " l
@@ -248,8 +178,6 @@ let scan_sections lines ~from =
   scan ~section_start ~end_tag_of
     ~skip:(fun l -> String.equal l "" || String.equal l "end")
     lines ~from
-
-let section_checksum_ok = checksum_ok
 
 (* Meta fields out of a meta section's body; raises [Bad]. *)
 let parse_meta_fields rs =
@@ -327,72 +255,8 @@ let parse_dataset_section ~n_sites ~program rs =
     rs.rs_lines;
   (name, p)
 
-(* ---- v2, strict ---- *)
-
-let load_v2_strict (lines : string array) =
-  let sections, noise = scan_sections lines ~from:1 in
-  (match noise with
-  | i :: _ -> failf (i + 1) "unexpected line %S" lines.(i)
-  | [] -> ());
-  (* the final "end" marker must be present (it is skipped by the
-     scanner, so probe the raw lines) *)
-  if not (Array.exists (String.equal "end") lines) then
-    failf (Array.length lines) "missing final end";
-  let check rs =
-    match rs.rs_end with
-    | None -> failf rs.rs_end_idx "unterminated %s section" rs.rs_header
-    | Some endl ->
-      if not (section_checksum_ok rs) then
-        failf (rs.rs_end_idx + 1) "%s checksum mismatch on %S"
-          (end_tag_of rs.rs_header) endl
-  in
-  match sections with
-  | meta :: rest when String.equal meta.rs_header "meta" ->
-    check meta;
-    let prog, n_sites, fp, gen = parse_meta_fields meta in
-    let db =
-      try create ~program:prog ~n_sites
-      with Invalid_argument m -> failf (meta.rs_idx + 1) "%s" m
-    in
-    db.db_fp <- fp;
-    db.db_gen <- gen;
-    List.iteri
-      (fun k rs ->
-        check rs;
-        if String.equal rs.rs_header "sitemap" then begin
-          if k > 0 then
-            failf (rs.rs_idx + 1) "sitemap must be the first section";
-          if db.db_keys <> None then
-            failf (rs.rs_idx + 1) "duplicate sitemap section";
-          db.db_keys <- Some (parse_sitemap_entries ~n_sites rs)
-        end
-        else if String.equal rs.rs_header "meta" then
-          failf (rs.rs_idx + 1) "duplicate meta section"
-        else
-          let name, p = parse_dataset_section ~n_sites ~program:prog rs in
-          try record db ~dataset:name p
-          with Invalid_argument m -> failf (rs.rs_idx + 1) "%s" m)
-      rest;
-    db
-  | rs :: _ -> failf (rs.rs_idx + 1) "expected meta as the first section"
-  | [] -> failf 2 "expected meta section"
-
-let load text =
-  let lines = split_lines text in
-  try
-    if Array.length lines > 0 && String.equal lines.(0) "ifprobdb2" then
-      load_v2_strict lines
-    else if
-      Array.length lines > 0
-      && String.starts_with ~prefix:"ifprobdb " lines.(0)
-    then load_v1_strict lines
-    else if String.equal text "" then failf 1 "empty input"
-    else failf 1 "bad header %S" lines.(0)
-  with Bad (line, m) ->
-    failwith (Printf.sprintf "Db.load: line %d: %s" line m)
-
 (* ------------------------------------------------------------------ *)
-(* Salvage loading                                                     *)
+(* Loading                                                             *)
 (* ------------------------------------------------------------------ *)
 
 type issue = { i_line : int; i_section : string; i_reason : string }
@@ -407,108 +271,31 @@ type report = {
   r_dropped : issue list;
 }
 
-let dataset_section_name name =
-  match name with
-  | Some n -> Printf.sprintf "dataset %S" n
-  | None -> "dataset"
-
-let lenient_v1 (lines : string array) =
+(* Everything after the header: keep each section that verifies, and
+   report every departure from what [save] writes. *)
+let salvage (lines : string array) =
   let issues = ref [] in
   let drop ~line ~section reason =
     issues := { i_line = line; i_section = section; i_reason = reason } :: !issues
   in
-  let finish db prog meta_ok =
-    ( db,
-      {
-        r_version = 1;
-        r_program = prog;
-        r_meta_ok = meta_ok;
-        r_sitemap_present = false;
-        r_sitemap_ok = false;
-        r_recovered = datasets db;
-        r_dropped = List.rev !issues;
-      } )
+  let damaged ~section rs =
+    drop ~line:(rs.rs_idx + 1) ~section
+      (if rs.rs_end = None then "section never terminated"
+       else "checksum mismatch")
   in
-  match String.split_on_char ' ' lines.(0) with
-  | [ "ifprobdb"; prog; sites ]
-    when (match int_of_string_opt sites with Some n -> n >= 0 | None -> false)
-    -> (
-    let n_sites = int_of_string sites in
-    match create ~program:prog ~n_sites with
-    | exception Invalid_argument m ->
-      drop ~line:1 ~section:"header" m;
-      finish (create ~program:"" ~n_sites:0) None false
-    | db ->
-      (* (start line, name if the header parsed, counters, first error) *)
-      let current = ref None in
-      let close ln =
-        match !current with
-        | None -> ()
-        | Some (sl, name, p, poison) -> (
-          current := None;
-          match poison with
-          | Some (l, m) -> drop ~line:l ~section:(dataset_section_name name) m
-          | None -> (
-            match name with
-            | None -> ()
-            | Some nm ->
-              if Hashtbl.mem db.tbl nm then
-                drop ~line:sl ~section:(dataset_section_name name)
-                  "duplicate dataset (first occurrence kept)"
-              else (
-                try record db ~dataset:nm p
-                with Invalid_argument m ->
-                  drop ~line:ln ~section:(dataset_section_name name) m)))
-      in
-      let last_was_noise = ref false in
-      for i = 1 to Array.length lines - 1 do
-        let line = lines.(i) and ln = i + 1 in
-        let noise = ref false in
-        (if String.equal line "" then ()
-         else
-           match prefixed ~prefix:"dataset " line with
-           | Some rest ->
-             (match !current with
-             | Some (sl, name, _, _) ->
-               drop ~line:sl ~section:(dataset_section_name name)
-                 "missing end (next dataset begins)";
-               current := None
-             | None -> ());
-             (try
-                let name = parse_sized ~line:ln ~what:"dataset name" rest in
-                current :=
-                  Some (ln, Some name, Profile.empty ~program:prog ~n_sites, None)
-              with Bad (l, m) -> current := Some (ln, None, Profile.empty ~program:prog ~n_sites, Some (l, m)))
-           | None ->
-             if String.equal line "end" then close ln
-             else (
-               match !current with
-               | None ->
-                 noise := true;
-                 if not !last_was_noise then
-                   drop ~line:ln ~section:"file"
-                     "counter line outside any dataset"
-               | Some (sl, name, p, None) -> (
-                 try add_counter p (parse_counter ~line:ln ~n_sites line)
-                 with Bad (l, m) -> current := Some (sl, name, p, Some (l, m)))
-               | Some (_, _, _, Some _) -> () (* already condemned *)));
-        last_was_noise := !noise
-      done;
-      (match !current with
-      | Some (sl, name, _, _) ->
-        drop ~line:sl ~section:(dataset_section_name name)
-          "missing end (file truncated?)"
-      | None -> ());
-      current := None;
-      finish db (Some prog) true)
-  | _ ->
-    drop ~line:1 ~section:"header" "bad v1 header";
-    finish (create ~program:"" ~n_sites:0) None false
-
-let lenient_v2 (lines : string array) =
-  let issues = ref [] in
-  let drop ~line ~section reason =
-    issues := { i_line = line; i_section = section; i_reason = reason } :: !issues
+  (* the first section with this header; later ones are reported *)
+  let first_of header sections =
+    match
+      List.partition (fun rs -> String.equal rs.rs_header header) sections
+    with
+    | first :: dups, rest ->
+      List.iter
+        (fun rs ->
+          drop ~line:(rs.rs_idx + 1) ~section:header
+            ("duplicate " ^ header ^ " section"))
+        dups;
+      (Some first, rest)
+    | [], rest -> (None, rest)
   in
   let sections, noise = scan_sections lines ~from:1 in
   (* coalesce consecutive noise lines into one issue per run *)
@@ -523,37 +310,62 @@ let lenient_v2 (lines : string array) =
       note_noise (skip_run i rest)
   in
   note_noise noise;
-  let meta_rs, other =
-    match
-      List.partition (fun rs -> String.equal rs.rs_header "meta") sections
-    with
-    | m :: dups, rest ->
-      List.iter
-        (fun rs ->
-          drop ~line:(rs.rs_idx + 1) ~section:"meta" "duplicate meta section")
-        dups;
-      (Some m, rest)
-    | [], rest -> (None, rest)
+  let rec last_nonblank i =
+    if i > 0 && String.equal lines.(i) "" then last_nonblank (i - 1) else i
   in
-  let meta_crc_ok, meta_fields =
+  let last = last_nonblank (Array.length lines - 1) in
+  if not (String.equal lines.(last) "end") then
+    drop ~line:(last + 2) ~section:"file" "missing final end";
+  let meta_rs, rest = first_of "meta" sections in
+  let sitemap_rs, dataset_rs = first_of "sitemap" rest in
+  (* [program] is [None] when the meta section yields no site count *)
+  let db, program, meta_ok =
     match meta_rs with
     | None ->
       drop ~line:1 ~section:"meta" "missing meta section";
-      (false, None)
-    | Some rs ->
-      let crc = section_checksum_ok rs in
-      if not crc then
-        drop ~line:(rs.rs_idx + 1) ~section:"meta"
-          (if rs.rs_end = None then "section never terminated"
-           else "checksum mismatch");
-      (match parse_meta_fields rs with
-      | fields -> (crc, Some fields)
+      (create ~program:"" ~n_sites:0, None, false)
+    | Some rs -> (
+      (* [save]'s order, meta first and the sitemap right after it,
+         loses nothing when broken, but no intact file breaks it *)
+      let first = List.hd sections in
+      if first.rs_idx <> rs.rs_idx then
+        drop ~line:(first.rs_idx + 1) ~section:"meta"
+          "expected meta as the first section";
+      let rec sitemap_after prev = function
+        | [] -> ()
+        | s :: _ when String.equal s.rs_header "sitemap" ->
+          if not (String.equal prev.rs_header "meta") then
+            drop ~line:(s.rs_idx + 1) ~section:"sitemap"
+              "sitemap must directly follow meta"
+        | s :: more -> sitemap_after s more
+      in
+      sitemap_after first (List.tl sections);
+      let crc = checksum_ok rs in
+      if not crc then damaged ~section:"meta" rs;
+      match parse_meta_fields rs with
+      | prog, n_sites, fp, gen ->
+        let db =
+          match create ~program:prog ~n_sites with
+          | db -> db
+          | exception Invalid_argument m ->
+            drop ~line:(rs.rs_idx + 1) ~section:"meta" m;
+            create ~program:"" ~n_sites
+        in
+        (* only trust the stored fingerprint and generation when the
+           meta bytes verified: a damaged fingerprint must not
+           masquerade as a fresh profile, and a damaged generation must
+           not let a stale WAL replay over counters it is already folded
+           into *)
+        if crc then begin
+          db.db_fp <- fp;
+          db.db_gen <- gen
+        end;
+        (db, Some prog, crc)
       | exception Bad (l, m) ->
         drop ~line:l ~section:"meta" m;
-        (crc, None))
+        (create ~program:"" ~n_sites:0, None, false))
   in
-  match meta_fields with
-  | None ->
+  if program = None then
     (* without a trustworthy site count nothing can be validated *)
     List.iter
       (fun rs ->
@@ -561,90 +373,51 @@ let lenient_v2 (lines : string array) =
           ~section:(if String.equal rs.rs_header "sitemap" then "sitemap"
                     else "dataset")
           "dropped: no usable meta section")
-      other;
-    ( create ~program:"" ~n_sites:0,
-      {
-        r_version = 2;
-        r_program = None;
-        r_meta_ok = false;
-        r_sitemap_present =
-          List.exists (fun rs -> String.equal rs.rs_header "sitemap") other;
-        r_sitemap_ok = false;
-        r_recovered = [];
-        r_dropped = List.rev !issues;
-      } )
-  | Some (prog, n_sites, fp, gen) ->
-    let db =
-      match create ~program:prog ~n_sites with
-      | db -> db
-      | exception Invalid_argument _ -> create ~program:"" ~n_sites
-    in
-    (* only trust the stored fingerprint and generation when the meta
-       bytes verified: a damaged fingerprint must not masquerade as a
-       fresh profile, and a damaged generation must not let a stale WAL
-       replay over counters it is already folded into *)
-    if meta_crc_ok then begin
-      db.db_fp <- fp;
-      db.db_gen <- gen
-    end;
-    let sitemap_present = ref false and sitemap_ok = ref false in
+      (Option.to_list sitemap_rs @ dataset_rs)
+  else begin
+    (match sitemap_rs with
+    | None -> ()
+    | Some rs when not (checksum_ok rs) -> damaged ~section:"sitemap" rs
+    | Some rs -> (
+      match parse_sitemap_entries ~n_sites:db.db_sites rs with
+      | keys -> db.db_keys <- Some keys
+      | exception Bad (l, m) -> drop ~line:l ~section:"sitemap" m));
     List.iter
       (fun rs ->
-        if String.equal rs.rs_header "sitemap" then begin
-          if !sitemap_present then
-            drop ~line:(rs.rs_idx + 1) ~section:"sitemap"
-              "duplicate sitemap section"
-          else begin
-            sitemap_present := true;
-            if not (section_checksum_ok rs) then
-              drop ~line:(rs.rs_idx + 1) ~section:"sitemap"
-                (if rs.rs_end = None then "section never terminated"
-                 else "checksum mismatch")
-            else
-              match parse_sitemap_entries ~n_sites rs with
-              | keys ->
-                db.db_keys <- Some keys;
-                sitemap_ok := true
-              | exception Bad (l, m) -> drop ~line:l ~section:"sitemap" m
-          end
-        end
-        else if not (section_checksum_ok rs) then
-          drop ~line:(rs.rs_idx + 1) ~section:"dataset"
-            (if rs.rs_end = None then "section never terminated"
-             else "checksum mismatch")
+        if not (checksum_ok rs) then damaged ~section:"dataset" rs
         else
-          match parse_dataset_section ~n_sites ~program:(program db) rs with
+          match
+            parse_dataset_section ~n_sites:db.db_sites ~program:db.db_program
+              rs
+          with
           | name, p ->
+            let section = Printf.sprintf "dataset %S" name in
             if Hashtbl.mem db.tbl name then
-              drop ~line:(rs.rs_idx + 1)
-                ~section:(dataset_section_name (Some name))
+              drop ~line:(rs.rs_idx + 1) ~section
                 "duplicate dataset (first occurrence kept)"
             else (
               try record db ~dataset:name p
-              with Invalid_argument m ->
-                drop ~line:(rs.rs_idx + 1)
-                  ~section:(dataset_section_name (Some name))
-                  m)
+              with Invalid_argument m -> drop ~line:(rs.rs_idx + 1) ~section m)
           | exception Bad (l, m) -> drop ~line:l ~section:"dataset" m)
-      other;
-    ( db,
-      {
-        r_version = 2;
-        r_program = Some prog;
-        r_meta_ok = meta_crc_ok;
-        r_sitemap_present = !sitemap_present;
-        r_sitemap_ok = !sitemap_ok;
-        r_recovered = datasets db;
-        r_dropped = List.rev !issues;
-      } )
+      dataset_rs
+  end;
+  ( db,
+    {
+      r_version = 2;
+      r_program = program;
+      r_meta_ok = meta_ok;
+      r_sitemap_present = sitemap_rs <> None;
+      r_sitemap_ok = db.db_keys <> None;
+      r_recovered = datasets db;
+      r_dropped =
+        List.stable_sort
+          (fun a b -> Int.compare a.i_line b.i_line)
+          (List.rev !issues);
+    } )
 
 let load_lenient text =
   let lines = split_lines text in
-  if Array.length lines > 0 && String.equal lines.(0) "ifprobdb2" then
-    lenient_v2 lines
-  else if
-    Array.length lines > 0 && String.starts_with ~prefix:"ifprobdb " lines.(0)
-  then lenient_v1 lines
+  if String.equal lines.(0) "ifprobdb2" then salvage lines
   else
     ( create ~program:"" ~n_sites:0,
       {
@@ -655,13 +428,22 @@ let load_lenient text =
         r_sitemap_ok = false;
         r_recovered = [];
         r_dropped =
-          [ { i_line = 1; i_section = "header"; i_reason = "unrecognized header" } ];
+          [
+            {
+              i_line = 1;
+              i_section = "header";
+              i_reason = "unsupported format (expected ifprobdb2)";
+            };
+          ];
       } )
 
-let clean r =
-  r.r_version > 0 && r.r_meta_ok
-  && ((not r.r_sitemap_present) || r.r_sitemap_ok)
-  && r.r_dropped = []
+let clean r = r.r_dropped = []
+
+let load text =
+  match load_lenient text with
+  | db, { r_dropped = []; _ } -> db
+  | _, { r_dropped = i :: _; _ } ->
+    failwith (Printf.sprintf "Db.load: line %d: %s" i.i_line i.i_reason)
 
 let render_report r =
   let buf = Buffer.create 256 in

@@ -9,23 +9,16 @@
 
     {2 On-disk format}
 
-    Two formats are understood:
-
-    - {b v1} (legacy): a bare line format — header, then per-dataset
-      counter blocks.  No checksums, no identity: a corrupt byte loses the
-      whole file and a recompiled program silently mis-keys every counter.
-    - {b v2} (written by {!save}): versioned and sectioned.  A [meta]
-      section carries the program name, site count and the program's
-      structural fingerprint (see {!Fisher92_analysis.Fingerprint}); an
-      optional [sitemap] section stores one structural key per site so
-      stale counters can be remapped onto a recompiled program; each
-      dataset is its own section.  Every section ends with a 64-bit
-      FNV-1a checksum of its bytes, so damage is localized: {!load_lenient}
-      recovers every section whose checksum still verifies.
-
-    {!load} reads both formats strictly; {!save} always writes v2 (so
-    loading a v1 file and saving it back is the migration path, and it is
-    byte-stable: migrating twice yields identical bytes). *)
+    {!save} writes one versioned, sectioned format, [ifprobdb2].  A
+    [meta] section carries the program name, site count and the
+    program's structural fingerprint (see
+    {!Fisher92_analysis.Fingerprint}); an optional [sitemap] section
+    stores one structural key per site so stale counters can be remapped
+    onto a recompiled program; each dataset is its own section.  Every
+    section ends with a 64-bit FNV-1a checksum of its bytes, so damage
+    is localized: {!load_lenient} recovers every section whose checksum
+    still verifies.  {!load} accepts exactly the files {!load_lenient}
+    reports {!clean}. *)
 
 type t
 
@@ -62,42 +55,33 @@ val accumulated_except : t -> dataset:string -> Profile.t option
 
 val fingerprint : t -> string option
 (** The structural fingerprint of the build the counters were recorded
-    against, when known ([None] for v1 files and freshly created dbs). *)
+    against, when known ([None] for freshly created dbs). *)
 
 val sitekeys : t -> string array option
 (** Per-site structural keys ({!Fisher92_analysis.Fingerprint.site_key})
     of the recorded build, when known. *)
 
 val set_identity : t -> fingerprint:string -> sitekeys:string array -> unit
-(** Attach the recorded build's identity (stored in the v2 [meta] and
+(** Attach the recorded build's identity (stored in the [meta] and
     [sitemap] sections).  @raise Invalid_argument if the key array does
     not have exactly [n_sites] entries or a key contains a newline. *)
 
 val generation : t -> int
-(** The ingest-compaction generation stored in the v2 [meta] section —
+(** The ingest-compaction generation stored in the [meta] section —
     the watermark that decides whether a write-ahead log found next to
     the database still applies to it (see {!Fisher92_ingest.Wal}).  0
-    for v1 files, fresh databases, and databases never compacted. *)
+    for fresh databases and databases never compacted. *)
 
 val set_generation : t -> int -> unit
 (** @raise Invalid_argument on a negative generation.  A generation of 0
-    is not serialized, so pre-ingest v2 files stay byte-stable. *)
+    is not serialized, so files written before ingest stay byte-stable. *)
 
 (** {2 Serialization} *)
 
 val save : t -> string
-(** Serialize in the v2 sectioned, checksummed format. *)
+(** Serialize in the sectioned, checksummed format. *)
 
-val save_v1 : t -> string
-(** Serialize in the legacy v1 line format (kept for migration tests and
-    for generating fixtures; new code should never write it). *)
-
-val load : string -> t
-(** Strict load of either format.  @raise Failure on any malformed input,
-    with the offending line number in the message
-    (["Db.load: line 42: malformed counter line ..."]). *)
-
-(** {2 Salvage loading} *)
+(** {2 Loading} *)
 
 type issue = {
   i_line : int;  (** 1-based line where the problem was detected *)
@@ -106,30 +90,39 @@ type issue = {
 }
 
 type report = {
-  r_version : int;  (** 1, 2, or 0 when the header is unrecognizable *)
+  r_version : int;  (** 2, or 0 when the first line is not [ifprobdb2] *)
   r_program : string option;
-  r_meta_ok : bool;  (** v2: meta section present and checksum-clean;
-                         v1: header line parsed *)
+  r_meta_ok : bool;  (** meta section present and checksum-clean *)
   r_sitemap_present : bool;
   r_sitemap_ok : bool;  (** false when present but damaged *)
   r_recovered : string list;  (** datasets kept, in file order *)
-  r_dropped : issue list;  (** everything rejected, and why *)
+  r_dropped : issue list;
+      (** everything rejected or out of place, and why, in line order *)
 }
 
 val load_lenient : string -> t * report
 (** Best-effort load: never raises.  Returns every dataset whose section
-    is intact (v2: checksum verifies; v1: every line parses) and a report
-    of what was dropped and why.  Recovered profiles always satisfy
-    [0 <= taken <= encountered] per site; duplicate dataset sections keep
-    the first intact occurrence.  When the meta section is too damaged to
-    yield a site count, nothing can be validated and everything is
-    dropped. *)
+    is intact (its checksum verifies and every line parses) and a report
+    of every departure from what {!save} writes.  Recovered profiles
+    always satisfy [0 <= taken <= encountered] per site; duplicate
+    dataset sections keep the first intact occurrence.  Sections out of
+    the written order ([meta] first, then [sitemap] if any) and a
+    missing final [end] are reported but drop nothing.  When the meta
+    section is too damaged to yield a site count, nothing can be
+    validated and everything is dropped.  A file whose first line is not
+    [ifprobdb2] yields an empty database and one [header] issue saying
+    the format is unsupported. *)
+
+val clean : report -> bool
+(** Nothing reported: the file is exactly what {!load} accepts. *)
+
+val load : string -> t
+(** Strict load: {!load_lenient}'s database when its report is {!clean}.
+    @raise Failure otherwise, naming the report's first issue
+    (["Db.load: line 42: malformed counter line ..."]). *)
 
 val render_report : report -> string
 (** Human-readable multi-line summary (the [db check] CLI output). *)
-
-val clean : report -> bool
-(** No drops, no damage: the file is exactly what {!load} would accept. *)
 
 (** {2 Files} *)
 

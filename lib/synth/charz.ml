@@ -154,25 +154,23 @@ let characterize (loaded : Fisher92.Study.loaded) =
   let opinions = Heuristic.ball_larus_opinions loaded.Fisher92.Study.ir in
   of_counts ~profile ~site_correct ~site_incorrect ~opinions
 
-let header =
-  [
-    "program"; "class"; "sites"; "cov"; "dyn br"; "taken"; "skew"; "entropy";
-    "floor"; "gshare"; "h2p"; "h2p shr"; "heur cov";
-  ]
+let f3 x = Table.Fmt (Printf.sprintf "%.3f", x)
 
-let row ~name t =
-  [
-    name;
-    cls_name t.ch_class;
-    string_of_int t.ch_sites;
-    string_of_int t.ch_covered;
-    Table.inum t.ch_dyn;
-    Table.pct t.ch_taken_pct;
-    Printf.sprintf "%.3f" t.ch_skew;
-    Printf.sprintf "%.3f" t.ch_entropy;
-    Table.pct t.ch_floor_pct;
-    (if t.ch_sim_dyn = 0 then "-" else Table.pct t.ch_gshare_pct);
-    string_of_int t.ch_h2p_sites;
-    Printf.sprintf "%.3f" t.ch_h2p_share;
-    Table.pct t.ch_heur_pct;
-  ]
+let columns =
+  Table.
+    [
+      text_col "program" (fun (name, _) -> Str name);
+      text_col "class" (fun (_, t) -> Str (cls_name t.ch_class));
+      text_col "sites" (fun (_, t) -> Int t.ch_sites);
+      text_col "cov" (fun (_, t) -> Int t.ch_covered);
+      text_col "dyn br" (fun (_, t) -> Count t.ch_dyn);
+      text_col "taken" (fun (_, t) -> Pct t.ch_taken_pct);
+      text_col "skew" (fun (_, t) -> f3 t.ch_skew);
+      text_col "entropy" (fun (_, t) -> f3 t.ch_entropy);
+      text_col "floor" (fun (_, t) -> Pct t.ch_floor_pct);
+      text_col "gshare" (fun (_, t) ->
+          if t.ch_sim_dyn = 0 then Str "-" else Pct t.ch_gshare_pct);
+      text_col "h2p" (fun (_, t) -> Int t.ch_h2p_sites);
+      text_col "h2p shr" (fun (_, t) -> f3 t.ch_h2p_share);
+      text_col "heur cov" (fun (_, t) -> Pct t.ch_heur_pct);
+    ]

@@ -77,8 +77,6 @@ val characterize : Fisher92.Study.loaded -> t
     a replay of that dataset's trace bit for bit), opinions from the
     measured build. *)
 
-val header : string list
-(** Table header for per-workload characterization rows. *)
-
-val row : name:string -> t -> string list
-(** One table row matching {!header}. *)
+val columns : (string * t) Fisher92_report.Table.column list
+(** The [synth charz] table: one line per named characterization, text
+    only. *)

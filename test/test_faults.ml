@@ -1,15 +1,14 @@
 (* Fault-injection harness for the profile database.
 
-   Random databases are serialized (v1 and v2), hit with randomized
-   corruptions -- bit flips, truncation, chunk deletion, splicing,
-   line shuffles, and compositions of those -- and fed to
-   [Db.load_lenient], which must:
+   Random databases are serialized, hit with randomized corruptions --
+   bit flips, truncation, chunk deletion, splicing, line shuffles, and
+   compositions of those -- and fed to [Db.load_lenient], which must:
 
    - never raise, no matter the input bytes;
    - never fabricate counts (every recovered profile satisfies
      [0 <= taken <= encountered] per site, with the right site count);
    - recover, bit-exact, every dataset whose section survived the
-     corruption untouched (along with the meta/header it depends on).
+     corruption untouched (along with the meta section it depends on).
 
    The "untouched" criterion is syntactic: the corrupted text's lines
    still contain the original section block as a contiguous run, with
@@ -33,7 +32,6 @@ let gen_string_of chars =
   string_of_exactly n chars
 
 let name_gen = gen_string_of "abcdefg xyz-_" (* spaces are legal: names are sized *)
-let program_gen = gen_string_of "abcdefgh" (* v1 headers cannot carry spaces *)
 let key_gen = gen_string_of "abc|#LD0123456789"
 let hex_gen = string_of_exactly 16 "0123456789abcdef"
 
@@ -52,7 +50,7 @@ let counters_gen n_sites =
 
 let db_gen : Db.t Gen.t =
   let open Gen in
-  let* program = program_gen in
+  let* program = name_gen in
   let* n_sites = int_range 0 12 in
   let* n_datasets = int_range 0 4 in
   let* names = list_repeat n_datasets name_gen in
@@ -86,18 +84,16 @@ let op_name = Corrupt.op_name
 let apply_op = Corrupt.apply_op
 let op_gen = Corrupt.op_gen
 
-let case_gen : (Db.t * bool * Corrupt.op list) Gen.t =
+let case_gen : (Db.t * Corrupt.op list) Gen.t =
   let open Gen in
   let* db = db_gen in
-  let* v1 = frequency [ (1, return true); (3, return false) ] in
   let+ ops = list_size (int_range 1 3) op_gen in
-  (db, v1, ops)
+  (db, ops)
 
-let print_case (db, v1, ops) =
-  Printf.sprintf "ops=[%s] on %s:\n%s"
+let print_case (db, ops) =
+  Printf.sprintf "ops=[%s] on:\n%s"
     (String.concat "; " (List.map op_name ops))
-    (if v1 then "v1" else "v2")
-    (if v1 then Db.save_v1 db else Db.save db)
+    (Db.save db)
 
 (* ---------- block helpers (the "untouched" criterion) ---------- *)
 
@@ -155,9 +151,8 @@ let prop_lenient_never_raises =
   QCheck2.Test.make ~count:500
     ~name:"lenient load never raises, never fabricates (500 corruptions)"
     ~print:print_case case_gen
-    (fun (db, v1, ops) ->
-      let text = if v1 then Db.save_v1 db else Db.save db in
-      let corrupted = List.fold_left apply_op text ops in
+    (fun (db, ops) ->
+      let corrupted = List.fold_left apply_op (Db.save db) ops in
       let loaded, report = Db.load_lenient corrupted in
       sane_counts loaded
       && List.length (Db.datasets loaded) = List.length report.Db.r_recovered)
@@ -166,24 +161,21 @@ let prop_untouched_recovered =
   QCheck2.Test.make ~count:300
     ~name:"datasets whose section survives corruption are recovered intact"
     ~print:print_case case_gen
-    (fun (db, v1, ops) ->
-      let text = if v1 then Db.save_v1 db else Db.save db in
+    (fun (db, ops) ->
+      let text = Db.save db in
       let olines = split_lines text in
       let corrupted = List.fold_left apply_op text ops in
       let clines = split_lines corrupted in
       let preamble_ok =
-        if v1 then
-          Array.length clines > 0 && String.equal clines.(0) olines.(0)
-        else
-          Array.length clines > 0
-          && String.equal clines.(0) "ifprobdb2"
-          &&
-          match
-            block olines ~header:"meta"
-              ~is_end:(String.starts_with ~prefix:"endmeta ")
-          with
-          | Some meta -> survives clines meta
-          | None -> false
+        Array.length clines > 0
+        && String.equal clines.(0) "ifprobdb2"
+        &&
+        match
+          block olines ~header:"meta"
+            ~is_end:(String.starts_with ~prefix:"endmeta ")
+        with
+        | Some meta -> survives clines meta
+        | None -> false
       in
       if not preamble_ok then true
       else
@@ -191,10 +183,7 @@ let prop_untouched_recovered =
         List.for_all
           (fun d ->
             let header = "dataset " ^ sized d in
-            let is_end =
-              if v1 then String.equal "end"
-              else String.starts_with ~prefix:"enddataset "
-            in
+            let is_end = String.starts_with ~prefix:"enddataset " in
             match block olines ~header ~is_end with
             | None -> true
             | Some blk ->
@@ -235,25 +224,6 @@ let prop_save_stable =
       let text = Db.save db in
       String.equal text (Db.save (Db.load text)))
 
-let prop_v1_roundtrip =
-  QCheck2.Test.make ~count:300
-    ~name:"v1: load (save_v1 db) keeps counters (identity is v2-only)"
-    ~print:(fun db -> Db.save_v1 db)
-    db_gen
-    (fun db ->
-      let back = Db.load (Db.save_v1 db) in
-      String.equal (Db.program back) (Db.program db)
-      && Db.n_sites back = Db.n_sites db
-      && Db.datasets back = Db.datasets db
-      && Db.fingerprint back = None
-      && List.for_all
-           (fun d ->
-             let pa = Db.profile db ~dataset:d in
-             let pb = Db.profile back ~dataset:d in
-             pa.Profile.encountered = pb.Profile.encountered
-             && pa.Profile.taken = pb.Profile.taken)
-           (Db.datasets db))
-
 let prop_lenient_on_clean =
   QCheck2.Test.make ~count:200
     ~name:"lenient load of an intact file recovers everything, clean report"
@@ -274,7 +244,6 @@ let () =
           [
             prop_roundtrip;
             prop_save_stable;
-            prop_v1_roundtrip;
             prop_lenient_on_clean;
           ] );
     ]

@@ -250,6 +250,32 @@ let test_service_empty_delta () =
   let db = Db.load_file (Service.db_path ~dir) in
   check_counters "no counters" (expected []) (accumulated_of_db db)
 
+(* A database cut before its final "end" loses nothing: recovery reads
+   it once, keeps every section, and its note names the first issue. *)
+let test_service_damaged_db () =
+  with_dir @@ fun dir ->
+  let d = mk ~nonce:1 [ (0, 4, 1); (5, 2, 2) ] in
+  let svc = Service.open_ (cfg dir) in
+  ignore (Service.submit svc d);
+  Service.close svc;
+  let path = Service.db_path ~dir in
+  let text = Sectfile.read_file path in
+  let cut = String.sub text 0 (String.length text - String.length "end\n") in
+  Out_channel.with_open_bin path (fun oc -> output_string oc cut);
+  let svc2 = Service.open_ (cfg dir) in
+  Alcotest.(check (list string)) "one note, naming the issue"
+    [
+      Printf.sprintf
+        "database damaged (line %d: missing final end); salvaged 1 \
+         dataset(s), dropped 1 issue(s)"
+        (List.length (String.split_on_char '\n' cut));
+    ]
+    (Service.notes svc2);
+  check_counters "counters kept"
+    (expected [ Delta.entries d ])
+    (accumulated_of_db (Service.base_db svc2));
+  Service.close svc2
+
 let test_service_saturation () =
   with_dir @@ fun dir ->
   let svc = Service.open_ (cfg dir) in
@@ -623,6 +649,7 @@ let () =
           Alcotest.test_case "duplicate + WAL replay" `Quick
             test_service_duplicate_and_replay;
           Alcotest.test_case "empty delta" `Quick test_service_empty_delta;
+          Alcotest.test_case "damaged database" `Quick test_service_damaged_db;
           Alcotest.test_case "saturation near max_int" `Quick
             test_service_saturation;
           Alcotest.test_case "stale client degradation" `Quick

@@ -1,6 +1,7 @@
 module Profile = Fisher92_profile.Profile
 module Db = Fisher92_profile.Db
 module Directive = Fisher92_profile.Directive
+module Sectfile = Fisher92_util.Sectfile
 module T = Fisher92_testsupport.Testsupport
 
 let string_contains ~sub s =
@@ -123,6 +124,22 @@ let test_db_file_roundtrip () =
       let a = Db.profile back ~dataset:"a" in
       Alcotest.(check (array int)) "counts survive" [| 1; 2; 3 |] a.encountered)
 
+(* Database texts built section by section, each with a valid
+   checksum, so a text carries only the defect a test writes into it.
+   [meta ()] spans lines 2-5 after the "ifprobdb2" line. *)
+let section header end_tag body =
+  let buf = Buffer.create 64 in
+  Sectfile.add_section buf ~header ~body ~end_tag;
+  Buffer.contents buf
+
+let meta ?(sites = "2") () =
+  section "meta" "endmeta" [ "program 1 p"; "sites " ^ sites ]
+
+let dataset name body =
+  section ("dataset " ^ Sectfile.sized name) "enddataset" body
+
+let sitemap = section "sitemap" "endsitemap" [ "0 2 k0"; "1 2 k1" ]
+
 let test_db_load_rejects_garbage () =
   List.iter
     (fun text ->
@@ -132,10 +149,12 @@ let test_db_load_rejects_garbage () =
     [
       "";
       "nonsense";
-      "ifprobdb p notanumber";
-      "ifprobdb p 2\n5 3 1\nend\n";
-      "ifprobdb p 2\ndataset 1 a\n0 1 2\nend\n" (* taken > encountered *);
-      "ifprobdb p 2\ndataset 1 a\n0 1 1\n" (* missing end *);
+      "ifprobdb p 2\ndataset 1 a\n0 1 1\nend\n" (* the retired v1 format *);
+      "ifprobdb2\n" ^ meta ~sites:"notanumber" () ^ "end\n";
+      "ifprobdb2\n" ^ meta () ^ "5 3 1\nend\n" (* counts outside a dataset *);
+      "ifprobdb2\n" ^ meta () ^ dataset "a" [ "0 1 2" ] ^ "end\n"
+      (* taken > encountered *);
+      "ifprobdb2\n" ^ meta () ^ dataset "a" [ "0 1 1" ] (* missing end *);
     ]
 
 let test_db_load_oversized_length () =
@@ -148,15 +167,15 @@ let test_db_load_oversized_length () =
         Alcotest.(check bool)
           (Printf.sprintf "%S names a line" msg)
           true
-          (string_contains ~sub:"line 2" msg)
+          (string_contains ~sub:"line 6" msg)
       | exception e ->
         Alcotest.failf "expected Failure, got %s" (Printexc.to_string e)
       | _ -> Alcotest.failf "accepted %S" text)
-    [
-      "ifprobdb p 2\ndataset 99 a\n0 1 1\nend\n";
-      "ifprobdb p 2\ndataset -3 a\n0 1 1\nend\n";
-      "ifprobdb p 2\ndataset 1 abc\n0 1 1\nend\n" (* trailing bytes *);
-    ]
+    (List.map
+       (fun header ->
+         "ifprobdb2\n" ^ meta () ^ section header "enddataset" [ "0 1 1" ]
+         ^ "end\n")
+       [ "dataset 99 a"; "dataset -3 a"; "dataset 1 abc" (* trailing bytes *) ])
 
 let test_db_load_line_numbers () =
   List.iter
@@ -169,9 +188,12 @@ let test_db_load_line_numbers () =
           (string_contains ~sub:want msg)
       | _ -> Alcotest.failf "accepted %S" text)
     [
-      ("ifprobdb p 2\ndataset 1 a\n0 1 1\nbogus counter\nend\n", "line 4");
-      ("ifprobdb p 2\ndataset 1 a\n5 1 1\nend\n", "line 3");
-      ("ifprobdb p notanumber\n", "line 1");
+      ( "ifprobdb2\n" ^ meta ()
+        ^ dataset "a" [ "0 1 1"; "bogus counter" ]
+        ^ "end\n",
+        "line 8" );
+      ("ifprobdb2\n" ^ meta () ^ dataset "a" [ "5 1 1" ] ^ "end\n", "line 7");
+      ("ifprobdb2\n" ^ meta ~sites:"notanumber" () ^ "end\n", "line 4");
     ]
 
 let test_db_v2_identity_roundtrip () =
@@ -187,10 +209,9 @@ let test_db_v2_identity_roundtrip () =
     Alcotest.(check (array string)) "sitekeys survive"
       [| "f|if|eq|L0|F|#0|D1"; "f|while|lt|L1|B|#0|D2" |] keys
   | None -> Alcotest.fail "sitekeys lost");
-  (* migration is byte-stable: save . load is the identity on v2 text *)
+  (* save . load is the identity on saved text *)
   let text = Db.save db in
-  Alcotest.(check string) "migrate twice = same bytes" text
-    (Db.save (Db.load text))
+  Alcotest.(check string) "resave = same bytes" text (Db.save (Db.load text))
 
 let test_db_lenient_drops_only_damage () =
   let db = Db.create ~program:"px" ~n_sites:2 in
@@ -229,17 +250,70 @@ let test_db_lenient_distrusts_damaged_meta () =
   Alcotest.(check (list string)) "dataset salvaged" [ "a" ]
     (Db.datasets loaded)
 
+(* Strict load is salvage plus [clean]: it fails, naming line N,
+   exactly when the salvage report's first issue is at line N.  The
+   inputs are the shapes a random fault rarely makes: a file cut before
+   its final "end", and sections out of the order [save] writes. *)
+let test_db_load_agrees_with_salvage () =
+  let a = dataset "a" [ "0 3 1" ] and b = dataset "b" [ "1 9 2" ] in
+  let a' = dataset "a" [ "0 5 5" ] in
+  List.iter
+    (fun (what, text, want) ->
+      let db, report = Db.load_lenient text in
+      let got =
+        match Db.load text with
+        | _ -> None
+        | exception Failure msg -> Some msg
+      in
+      let expected =
+        match report.Db.r_dropped with
+        | [] -> None
+        | i :: _ ->
+          Some (Printf.sprintf "Db.load: line %d: %s" i.Db.i_line i.Db.i_reason)
+      in
+      Alcotest.(check (option string)) (what ^ ": load = salvage") expected got;
+      Alcotest.(check (option int))
+        (what ^ ": first issue")
+        want
+        (Option.map (fun i -> i.Db.i_line) (List.nth_opt report.r_dropped 0));
+      Alcotest.(check (list string)) (what ^ ": nothing dropped") [ "a"; "b" ]
+        (Db.datasets db);
+      Alcotest.(check bool) (what ^ ": sitemap kept") true
+        (Db.sitekeys db = Some [| "k0"; "k1" |]);
+      Alcotest.(check (array int)) (what ^ ": first a kept") [| 3; 0 |]
+        (Db.profile db ~dataset:"a").encountered)
+    [
+      ("intact", "ifprobdb2\n" ^ meta () ^ sitemap ^ a ^ b ^ "end\n", None);
+      ("no final end", "ifprobdb2\n" ^ meta () ^ sitemap ^ a ^ b, Some 16);
+      ( "sitemap before meta",
+        "ifprobdb2\n" ^ sitemap ^ meta () ^ a ^ b ^ "end\n",
+        Some 2 );
+      ( "sitemap after a dataset",
+        "ifprobdb2\n" ^ meta () ^ a ^ sitemap ^ b ^ "end\n",
+        Some 9 );
+      ( "duplicated dataset",
+        "ifprobdb2\n" ^ meta () ^ sitemap ^ a ^ b ^ a' ^ "end\n",
+        Some 16 );
+    ]
+
 let test_db_committed_samples_load () =
-  (* the fixtures CI smoke-checks must keep strict-loading forever *)
-  let v1 = Db.load_file "data/sample_v1.db" in
-  Alcotest.(check string) "v1 program" "compress" (Db.program v1);
-  Alcotest.(check (option string)) "v1 has no fingerprint" None
-    (Db.fingerprint v1);
+  (* the v2 fixture CI smoke-checks must keep strict-loading; the v1
+     one is the fixture of a format no longer read *)
+  (match Db.load_file "data/sample_v1.db" with
+  | exception Failure msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%S names line 1" msg)
+      true
+      (string_contains ~sub:"line 1:" msg)
+  | _ -> Alcotest.fail "v1 fixture accepted");
+  let _, v1 = Db.load_lenient (Sectfile.read_file "data/sample_v1.db") in
+  Alcotest.(check int) "v1 is no version" 0 v1.Db.r_version;
+  Alcotest.(check (list string)) "v1 salvages nothing" [] v1.Db.r_recovered;
   let v2 = Db.load_file "data/sample_v2.db" in
   Alcotest.(check string) "v2 program" "compress" (Db.program v2);
   Alcotest.(check bool) "v2 fingerprinted" true (Db.fingerprint v2 <> None);
   Alcotest.(check int) "v2 datasets" 5 (List.length (Db.datasets v2));
-  (* and migration of the committed v2 fixture is the identity *)
+  (* and resaving the committed v2 fixture is the identity *)
   let text = Db.save v2 in
   let ic = open_in_bin "data/sample_v2.db" in
   let disk = really_input_string ic (in_channel_length ic) in
@@ -321,6 +395,8 @@ let () =
             test_db_lenient_drops_only_damage;
           Alcotest.test_case "lenient distrusts damaged meta" `Quick
             test_db_lenient_distrusts_damaged_meta;
+          Alcotest.test_case "load fails iff salvage reports an issue" `Quick
+            test_db_load_agrees_with_salvage;
           Alcotest.test_case "committed samples load" `Quick
             test_db_committed_samples_load;
         ] );
