@@ -1117,6 +1117,25 @@ let synth_cmd =
           sweep behind the synthpool experiment")
     [ synth_gen_cmd; synth_charz_cmd; synth_sweep_cmd; synth_curated_cmd ]
 
+(* cmdliner reads an argument starting with '-' as an option, so left
+   alone [--top -3] fails with "unknown option '-3'" and a usage block.
+   A count option followed by a negative number is joined into the
+   [--top=-3] ([-n-3]) form, which [positive] rejects in one line. *)
+let join_negative_counts argv =
+  let negative v =
+    String.length v > 1 && v.[0] = '-' && Option.is_some (int_of_string_opt v)
+  in
+  let rec go = function
+    | "--" :: _ as rest -> rest
+    | "-n" :: v :: rest when negative v -> ("-n" ^ v) :: go rest
+    | (("--top" | "--domains" | "--count" | "--variants") as o) :: v :: rest
+      when negative v ->
+      (o ^ "=" ^ v) :: go rest
+    | a :: rest -> a :: go rest
+    | [] -> []
+  in
+  Array.of_list (go (Array.to_list argv))
+
 let () =
   let info =
     Cmd.info "fisher92" ~version:"1.0.0"
@@ -1125,7 +1144,7 @@ let () =
          Branch Directions From Previous Runs of a Program' (ASPLOS 1992)"
   in
   exit
-    (Cmd.eval
+    (Cmd.eval ~argv:(join_negative_counts Sys.argv)
        (Cmd.group info
           [ list_cmd; run_cmd; profile_cmd; predict_cmd; experiments_cmd;
             db_cmd; trace_cmd; hotspots_cmd; lint_cmd; analyze_cmd;

@@ -311,27 +311,37 @@ let open_ cfg =
   let notes = ref [] in
   let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
   (* 1. The base database: whatever survives in it, rebased on a stale
-     identity, fresh otherwise. *)
+     identity, fresh otherwise.  A file in another format holds nothing
+     salvageable, and compaction would overwrite it, so it is
+     quarantined whole. *)
   let dbp = db_path ~dir:cfg.c_dir in
+  let fresh () =
+    let db = Db.create ~program:cfg.c_program ~n_sites:cfg.c_n_sites in
+    Db.set_identity db ~fingerprint:cfg.c_fingerprint ~sitekeys:cfg.c_sitekeys;
+    db
+  in
   let base =
-    if not (Sys.file_exists dbp) then begin
-      let db = Db.create ~program:cfg.c_program ~n_sites:cfg.c_n_sites in
-      Db.set_identity db ~fingerprint:cfg.c_fingerprint
-        ~sitekeys:cfg.c_sitekeys;
-      db
-    end
+    if not (Sys.file_exists dbp) then fresh ()
     else
       let db, report = Db.load_lenient (Sectfile.read_file dbp) in
-      (match report.Db.r_dropped with
-      | [] -> ()
+      match report.Db.r_dropped with
+      | [] -> db
+      | i :: _ when report.Db.r_version = 0 ->
+        let dst =
+          quarantine_file ~dir:cfg.c_dir dbp
+            (Printf.sprintf "line %d: %s" i.Db.i_line i.Db.i_reason)
+        in
+        note "database unreadable (line %d: %s); quarantined as %s"
+          i.Db.i_line i.Db.i_reason (Filename.basename dst);
+        fresh ()
       | i :: _ ->
         note
           "database damaged (line %d: %s); salvaged %d dataset(s), dropped %d \
            issue(s)"
           i.Db.i_line i.Db.i_reason
           (List.length report.Db.r_recovered)
-          (List.length report.Db.r_dropped));
-      db
+          (List.length report.Db.r_dropped);
+        db
   in
   let db_gen = Db.generation base in
   let base =

@@ -37,9 +37,10 @@ val quarantine_dir : dir:string -> string
 
 val open_ : config -> t
 (** Open the service, running recovery: load (or salvage) the
-    database, rebase it if it was recorded against a stale build,
-    replay the WAL if its generation matches, discard it if stale,
-    quarantine it if unreadable.  Never raises on damaged state —
+    database, quarantine it and start afresh if it is not an
+    [ifprobdb2] file, rebase it if it was recorded against a stale
+    build, replay the WAL if its generation matches, discard it if
+    stale, quarantine it if unreadable.  Never raises on damaged state —
     {!notes} reports everything that was dropped or repaired.
     @raise Invalid_argument on a malformed config. *)
 

@@ -64,27 +64,38 @@ type tagged = {
   tg_useful : Bytes.t;  (* useful bits, '\000' / '\001' *)
 }
 
+type tage = {
+  base : int array;  (* per-site 2-bit bimodal counters *)
+  tables : tagged array;  (* shortest history first *)
+  idxs : int array;  (* each table's row for the current event ... *)
+  tags : int array;  (* ... and its tag, reused to allocate *)
+  hmask : int;  (* the longest history's mask *)
+}
+
 type core =
-  | State of int array  (* per-site: 0/1 (1-bit) or 0..3 (2-bit) *)
+  | Last of int array  (* 1-bit: each site's last outcome, 0/1 *)
+  | State of int array  (* 2-bit: a 0..3 counter per site *)
   | Fixed of Prediction.t
-  | Pattern of { table : Bytes.t; mask : int; xor_site : bool }
+  | Pattern of { table : Bytes.t; mask : int; xsel : int }
+      (* [xsel] is -1 for gshare, which XORs the site into the index,
+         and 0 for two-level *)
   | Shared of { table : Bytes.t; mask : int }  (* Smith: site-indexed *)
   | Split of {
       choice : Bytes.t;  (* per-site-hash 2-bit bank selectors *)
       cmask : int;
-      dir : Bytes.t array;  (* dir.(0) not-taken bank, dir.(1) taken *)
+      d0 : Bytes.t;  (* the not-taken direction bank *)
+      d1 : Bytes.t;  (* the taken one *)
       dmask : int;
     }
-  | Tagged of { base : int array; tables : tagged array }
+  | Tagged of tage
 
 type t = {
   n_sites : int;
+  core : core;
   mutable history : int;  (* newest outcome lowest; always 0 if unused *)
-  mutable correct : int;
-  mutable incorrect : int;
-  site_correct : int array;
-  site_incorrect : int array;
-  mutable step : int -> bool -> int;  (* set once, by [create] *)
+  tally : int array;
+      (* at [2 * site + v]: the site's correct (v = 1) or incorrect
+         (v = 0) verdicts; 2 * max 1 n_sites counters *)
 }
 
 let check_bits what bits =
@@ -107,9 +118,12 @@ let check_histories histories =
       "Dynamic.create: tage histories must be 1-4 strictly increasing \
        lengths in [1, 24]"
 
-(* Int.min/max: Stdlib's polymorphic min/max make a C call per update *)
+(* The saturating 2-bit update, one step toward the outcome, read at
+   [2 * c + taken] so that it takes no branch on the outcome. *)
+let bump_table = "\000\001\000\002\001\003\002\003"
+
 let[@inline] bump c taken =
-  if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1)
+  Char.code (String.unsafe_get bump_table ((2 * c) + Bool.to_int taken))
 
 (* Profile warming: seed exactly the state the IFPROB database can
    speak to.  Site-indexed counters take the warm direction weakly
@@ -118,7 +132,7 @@ let[@inline] bump c taken =
    direction banks are biased their designed way and its choice table
    votes per entry; TAGE's tagged tables stay cold — their contents
    are history-dependent, which no per-site profile can know. *)
-let seed scheme core (w : Prediction.t) =
+let seed core (w : Prediction.t) =
   let weak dir = if dir then 2 else 1 in
   let vote table mask per_entry_default =
     let votes = Array.make (Bytes.length table) 0 in
@@ -139,11 +153,8 @@ let seed scheme core (w : Prediction.t) =
   in
   match core with
   | Fixed _ -> ()
-  | State st ->
-    let one_bit = scheme = Last_direction in
-    Array.iteri
-      (fun s dir -> st.(s) <- (if one_bit then Bool.to_int dir else weak dir))
-      w
+  | Last st -> Array.iteri (fun s dir -> st.(s) <- Bool.to_int dir) w
+  | State st -> Array.iteri (fun s dir -> st.(s) <- weak dir) w
   | Pattern { table; _ } ->
     (* No per-pattern evidence exists statically; seed every entry
        weakly toward the profile's global majority so the cold
@@ -153,10 +164,10 @@ let seed scheme core (w : Prediction.t) =
     let majority = 2 * taken >= Array.length w in
     Bytes.fill table 0 (Bytes.length table) (Char.chr (weak majority))
   | Shared { table; mask } -> vote table mask 0
-  | Split { choice; cmask; dir; _ } ->
+  | Split { choice; cmask; d0; d1; _ } ->
     vote choice cmask 0;
-    Bytes.fill dir.(0) 0 (Bytes.length dir.(0)) '\001';
-    Bytes.fill dir.(1) 0 (Bytes.length dir.(1)) '\002'
+    Bytes.fill d0 0 (Bytes.length d0) '\001';
+    Bytes.fill d1 0 (Bytes.length d1) '\002'
   | Tagged { base; _ } -> Array.iteri (fun s dir -> base.(s) <- weak dir) w
 
 (* ---- the per-scheme update rules ---- *)
@@ -168,181 +179,158 @@ let bad_site t site =
         and build disagree?)"
        site t.n_sites)
 
-let[@inline] check t site =
-  if site < 0 || site >= t.n_sites then bad_site t site
-
-(* Tally one verdict on an already range-checked [site] and encode a
+(* Tally one verdict on an already range-checked [site], at
+   [2 * site + verdict] without a branch on the verdict, and encode a
    step's result: bit 0 = correct, bit 1 = some stored value changed. *)
 let[@inline] record t site ok changed =
-  if ok then begin
-    t.correct <- t.correct + 1;
-    Array.unsafe_set t.site_correct site
-      (Array.unsafe_get t.site_correct site + 1)
-  end
-  else begin
-    t.incorrect <- t.incorrect + 1;
-    Array.unsafe_set t.site_incorrect site
-      (Array.unsafe_get t.site_incorrect site + 1)
-  end;
-  Bool.to_int ok lor (Bool.to_int changed lsl 1)
+  let v = Bool.to_int ok in
+  let k = (2 * site) + v in
+  Array.unsafe_set t.tally k (Array.unsafe_get t.tally k + 1);
+  v lor (Bool.to_int changed lsl 1)
 
 let[@inline] push t hmask taken =
   t.history <- ((t.history lsl 1) lor Bool.to_int taken) land hmask
 
 (* TAGE's prediction from table [q] at the row cached in [idxs], or
    from the per-site base when [q] is -1 (no tag matched) *)
-let[@inline] tage_pred tables idxs base site q =
+let[@inline] tage_pred g site q =
   if q >= 0 then
-    bget (Array.unsafe_get tables q).tg_ctr (Array.unsafe_get idxs q) >= 2
-  else Array.unsafe_get base site >= 2
+    bget (Array.unsafe_get g.tables q).tg_ctr (Array.unsafe_get g.idxs q) >= 2
+  else Array.unsafe_get g.base site >= 2
 
-(* [step_of t scheme core] is the scheme's whole behaviour on one
-   dynamic branch: range-check the site, predict, tally, then update
-   the tables and the history register.  It returns bit 0 = verdict and bit 1 = some table
-   write changed a stored value — together with [t.history] that is
-   everything {!periodic_skip} needs to detect a fixpoint, so streaming
-   and batched replay both run exactly this code.  A changed bit may be
-   conservative (set for a write that happened to store the same value),
-   never the other way round. *)
-let step_of t scheme core =
-  match core with
-  | State st when scheme = Last_direction ->
-    fun site taken ->
-      check t site;
-      let c = Array.unsafe_get st site in
-      let c' = Bool.to_int taken in
-      Array.unsafe_set st site c';
-      record t site ((c = 1) = taken) (c' <> c)
-  | State st ->
-    fun site taken ->
-      check t site;
-      let c = Array.unsafe_get st site in
-      let c' = bump c taken in
-      Array.unsafe_set st site c';
-      record t site ((c >= 2) = taken) (c' <> c)
-  | Fixed p ->
-    fun site taken ->
-      check t site;
-      record t site (Array.unsafe_get p site = taken) false
-  | Shared { table; mask } ->
-    fun site taken ->
-      check t site;
-      let i = site land mask in
-      let c = bget table i in
-      let c' = bump c taken in
-      bset table i c';
-      record t site ((c >= 2) = taken) (c' <> c)
-  | Pattern { table; mask; xor_site } ->
-    (* [site land xsel] is [site] for gshare and 0 for plain two-level *)
-    let xsel = if xor_site then -1 else 0 in
-    fun site taken ->
-      check t site;
-      let i = (t.history lxor (site land xsel)) land mask in
-      let c = bget table i in
-      let c' = bump c taken in
-      bset table i c';
-      push t mask taken;
-      record t site ((c >= 2) = taken) (c' <> c)
-  | Split { choice; cmask; dir; dmask } ->
-    let d0 = dir.(0) and d1 = dir.(1) in
-    fun site taken ->
-      check t site;
-      let ci = site land cmask in
-      let cc = bget choice ci in
-      let sel = cc >= 2 in
-      let bank = if sel then d1 else d0 in
-      let di = (t.history lxor site) land dmask in
-      let c = bget bank di in
-      let ok = (c >= 2) = taken in
-      let c' = bump c taken in
-      bset bank di c';
-      (* Bi-Mode choice rule: don't update the selector when it
-         disagreed with the outcome but the selected bank still
-         predicted correctly — that agreement is the bank's bias doing
-         its job, not evidence about this site. *)
-      let cc' = if ok && sel <> taken then cc else bump cc taken in
-      bset choice ci cc';
-      push t dmask taken;
-      record t site ok (c' <> c || cc' <> cc)
-  | Tagged { base; tables } ->
-    let nt = Array.length tables in
-    let hmask = tables.(nt - 1).tg_hmask in
-    (* each table's row and tag for the current event, so allocation
-       after a mispredict reuses them *)
-    let idxs = Array.make nt 0 and tags = Array.make nt 0 in
-    fun site taken ->
-      check t site;
-      (* The provider is the longest-history tagged table whose tag
-         matches; the alternate is the next such table (or the base
-         bimodal).  Both are needed: prediction comes from the
-         provider, the useful bit is set only when provider and
-         alternate disagree.  -1 stands for the base. *)
-      let prov = ref (-1) and alt = ref (-1) in
-      for q = nt - 1 downto 0 do
-        let tg = Array.unsafe_get tables q in
-        (* index and tag are deterministic integer mixes of the site and
-           the table's slice of history; [land] with a positive mask
-           keeps them non-negative whatever the products overflow to *)
-        let h = t.history land tg.tg_hmask in
-        let x = (site * 0x9E3779B1) lxor (h * 0x85EBCA6B) in
-        let idx = (x lxor (x lsr 15)) land tg.tg_mask in
-        let y =
-          ((h lxor 0x5bd1e995) * 0x9E3779B1)
-          lxor ((site + 0x27d4eb2f) * 0x85EBCA6B)
-        in
-        let tag = (y lxor (y lsr 15)) land tg.tg_tagmask in
-        Array.unsafe_set idxs q idx;
-        Array.unsafe_set tags q tag;
-        if Array.unsafe_get tg.tg_tag idx = tag then
-          if !prov < 0 then prov := q else if !alt < 0 then alt := q
+(* TAGE's arm of {!step}, out of line: copied into every caller of
+   [step] it would outweigh all the other arms together. *)
+let tage_step t g site taken =
+  let tables = g.tables and idxs = g.idxs and tags = g.tags in
+  let nt = Array.length tables in
+  (* The provider is the longest-history tagged table whose tag
+     matches; the alternate is the next such table (or the base
+     bimodal).  Both are needed: prediction comes from the provider,
+     the useful bit is set only when provider and alternate disagree.
+     -1 stands for the base. *)
+  let prov = ref (-1) and alt = ref (-1) in
+  for q = nt - 1 downto 0 do
+    let tg = Array.unsafe_get tables q in
+    (* index and tag are deterministic integer mixes of the site and
+       the table's slice of history; [land] with a positive mask keeps
+       them non-negative whatever the products overflow to *)
+    let h = t.history land tg.tg_hmask in
+    let x = (site * 0x9E3779B1) lxor (h * 0x85EBCA6B) in
+    let idx = (x lxor (x lsr 15)) land tg.tg_mask in
+    let y =
+      ((h lxor 0x5bd1e995) * 0x9E3779B1)
+      lxor ((site + 0x27d4eb2f) * 0x85EBCA6B)
+    in
+    let tag = (y lxor (y lsr 15)) land tg.tg_tagmask in
+    Array.unsafe_set idxs q idx;
+    Array.unsafe_set tags q tag;
+    if Array.unsafe_get tg.tg_tag idx = tag then
+      if !prov < 0 then prov := q else if !alt < 0 then alt := q
+  done;
+  let predicted = tage_pred g site !prov in
+  let altpred = tage_pred g site !alt in
+  let ok = predicted = taken in
+  let changed = ref false in
+  (if !prov >= 0 then begin
+     let tg = Array.unsafe_get tables !prov in
+     let idx = Array.unsafe_get idxs !prov in
+     let c = bget tg.tg_ctr idx in
+     let c' = bump c taken in
+     bset tg.tg_ctr idx c';
+     changed := c' <> c;
+     let u = Bool.to_int ok in
+     if predicted <> altpred && bget tg.tg_useful idx <> u then begin
+       bset tg.tg_useful idx u;
+       changed := true
+     end
+   end
+   else begin
+     let c = Array.unsafe_get g.base site in
+     let c' = bump c taken in
+     Array.unsafe_set g.base site c';
+     changed := c' <> c
+   end);
+  if not ok then begin
+    (* Allocate one entry in a longer-history table, preferring the
+       shortest; a useful entry is never evicted — instead all
+       candidate useful bits decay, so a stubborn row frees up after
+       repeated allocation pressure. *)
+    let allocated = ref false in
+    for q = !prov + 1 to nt - 1 do
+      let tg = Array.unsafe_get tables q in
+      let idx = Array.unsafe_get idxs q in
+      if (not !allocated) && bget tg.tg_useful idx = 0 then begin
+        Array.unsafe_set tg.tg_tag idx (Array.unsafe_get tags q);
+        bset tg.tg_ctr idx (if taken then 2 else 1);
+        allocated := true
+      end
+    done;
+    if not !allocated then
+      for q = !prov + 1 to nt - 1 do
+        bset (Array.unsafe_get tables q).tg_useful (Array.unsafe_get idxs q) 0
       done;
-      let predicted = tage_pred tables idxs base site !prov in
-      let altpred = tage_pred tables idxs base site !alt in
-      let ok = predicted = taken in
-      let changed = ref false in
-      (if !prov >= 0 then begin
-         let tg = Array.unsafe_get tables !prov in
-         let idx = Array.unsafe_get idxs !prov in
-         let c = bget tg.tg_ctr idx in
-         let c' = bump c taken in
-         bset tg.tg_ctr idx c';
-         changed := c' <> c;
-         let u = Bool.to_int ok in
-         if predicted <> altpred && bget tg.tg_useful idx <> u then begin
-           bset tg.tg_useful idx u;
-           changed := true
-         end
-       end
-       else begin
-         let c = Array.unsafe_get base site in
-         let c' = bump c taken in
-         Array.unsafe_set base site c';
-         changed := c' <> c
-       end);
-      if not ok then begin
-        (* Allocate one entry in a longer-history table, preferring the
-           shortest; a useful entry is never evicted — instead all
-           candidate useful bits decay, so a stubborn row frees up after
-           repeated allocation pressure. *)
-        let allocated = ref false in
-        for q = !prov + 1 to nt - 1 do
-          let tg = Array.unsafe_get tables q in
-          let idx = Array.unsafe_get idxs q in
-          if (not !allocated) && bget tg.tg_useful idx = 0 then begin
-            Array.unsafe_set tg.tg_tag idx (Array.unsafe_get tags q);
-            bset tg.tg_ctr idx (if taken then 2 else 1);
-            allocated := true
-          end
-        done;
-        if not !allocated then
-          for q = !prov + 1 to nt - 1 do
-            bset (Array.unsafe_get tables q).tg_useful
-              (Array.unsafe_get idxs q) 0
-          done;
-        changed := true
-      end;
-      push t hmask taken;
-      record t site ok !changed
+    changed := true
+  end;
+  push t g.hmask taken;
+  record t site ok !changed
+
+(* [step t site taken] is the scheme's whole behaviour on one dynamic
+   branch: range-check the site, predict, tally, then update the tables
+   and the history register.  Each scheme's rule is one arm, written
+   once; [hook], {!periodic_skip} and {!hook_batch} inline the match,
+   so the replay loop calls out only for TAGE.  It returns bit 0 =
+   verdict and bit 1 = some table write changed a stored value —
+   together with [t.history] that is everything {!periodic_skip} needs
+   to detect a fixpoint, so streaming and batched replay both run
+   exactly this code.  A changed bit may be conservative (set for a
+   write that happened to store the same value), never the other way
+   round. *)
+let[@inline] step t site taken =
+  if site < 0 || site >= t.n_sites then bad_site t site;
+  match t.core with
+  | Last st ->
+    let c = Array.unsafe_get st site in
+    let c' = Bool.to_int taken in
+    Array.unsafe_set st site c';
+    record t site ((c = 1) = taken) (c' <> c)
+  | State st ->
+    let c = Array.unsafe_get st site in
+    let c' = bump c taken in
+    Array.unsafe_set st site c';
+    record t site ((c >= 2) = taken) (c' <> c)
+  | Fixed p -> record t site (Array.unsafe_get p site = taken) false
+  | Shared { table; mask } ->
+    let i = site land mask in
+    let c = bget table i in
+    let c' = bump c taken in
+    bset table i c';
+    record t site ((c >= 2) = taken) (c' <> c)
+  | Pattern { table; mask; xsel } ->
+    let i = (t.history lxor (site land xsel)) land mask in
+    let c = bget table i in
+    let c' = bump c taken in
+    bset table i c';
+    push t mask taken;
+    record t site ((c >= 2) = taken) (c' <> c)
+  | Split { choice; cmask; d0; d1; dmask } ->
+    let ci = site land cmask in
+    let cc = bget choice ci in
+    let sel = cc >= 2 in
+    let bank = if sel then d1 else d0 in
+    let di = (t.history lxor site) land dmask in
+    let c = bget bank di in
+    let ok = (c >= 2) = taken in
+    let c' = bump c taken in
+    bset bank di c';
+    (* Bi-Mode choice rule: don't update the selector when it disagreed
+       with the outcome but the selected bank still predicted correctly
+       — that agreement is the bank's bias doing its job, not evidence
+       about this site. *)
+    let cc' = if ok && sel <> taken then cc else bump cc taken in
+    bset choice ci cc';
+    push t dmask taken;
+    record t site ok (c' <> c || cc' <> cc)
+  | Tagged g -> tage_step t g site taken
 
 let create ?warm scheme ~n_sites =
   (match warm with
@@ -355,7 +343,8 @@ let create ?warm scheme ~n_sites =
   | _ -> ());
   let core =
     match scheme with
-    | Last_direction | Two_bit -> State (Array.make (Int.max 1 n_sites) 0)
+    | Last_direction -> Last (Array.make (Int.max 1 n_sites) 0)
+    | Two_bit -> State (Array.make (Int.max 1 n_sites) 0)
     | Static p ->
       if Array.length p <> n_sites then
         invalid_arg
@@ -371,7 +360,7 @@ let create ?warm scheme ~n_sites =
         {
           table = Bytes.make size '\000';
           mask = size - 1;
-          xor_site = (match scheme with Gshare _ -> true | _ -> false);
+          xsel = (match scheme with Gshare _ -> -1 | _ -> 0);
         }
     | Smith { table_bits } ->
       check_bits "table_bits" table_bits;
@@ -385,7 +374,8 @@ let create ?warm scheme ~n_sites =
         {
           choice = Bytes.make csize '\000';
           cmask = csize - 1;
-          dir = [| Bytes.make dsize '\000'; Bytes.make dsize '\000' |];
+          d0 = Bytes.make dsize '\000';
+          d1 = Bytes.make dsize '\000';
           dmask = dsize - 1;
         }
     | Tage { table_bits; tag_bits; histories } ->
@@ -408,39 +398,32 @@ let create ?warm scheme ~n_sites =
                })
              histories)
       in
-      Tagged { base = Array.make (Int.max 1 n_sites) 0; tables }
+      let nt = Array.length tables in
+      Tagged
+        {
+          base = Array.make (Int.max 1 n_sites) 0;
+          tables;
+          idxs = Array.make nt 0;
+          tags = Array.make nt 0;
+          hmask = tables.(nt - 1).tg_hmask;
+        }
   in
-  let t =
-    {
-      n_sites;
-      history = 0;
-      correct = 0;
-      incorrect = 0;
-      site_correct = Array.make (Int.max 1 n_sites) 0;
-      site_incorrect = Array.make (Int.max 1 n_sites) 0;
-      step = (fun _ _ -> 0);
-    }
-  in
-  t.step <- step_of t scheme core;
-  (match warm with Some w -> seed scheme core w | None -> ());
-  t
+  (match warm with Some w -> seed core w | None -> ());
+  {
+    n_sites;
+    core;
+    history = 0;
+    tally = Array.make (2 * Int.max 1 n_sites) 0;
+  }
 
-let hook t site taken = ignore (t.step site taken : int)
+let hook t site taken = ignore (step t site taken : int)
 
 (* ---- batched replay ---- *)
 
 (* [m] identical verdicts at once on an already-stepped [site] *)
 let[@inline] tally_n t site ok m =
-  if ok then begin
-    t.correct <- t.correct + m;
-    Array.unsafe_set t.site_correct site
-      (Array.unsafe_get t.site_correct site + m)
-  end
-  else begin
-    t.incorrect <- t.incorrect + m;
-    Array.unsafe_set t.site_incorrect site
-      (Array.unsafe_get t.site_incorrect site + m)
-  end
+  let k = (2 * site) + Bool.to_int ok in
+  Array.unsafe_set t.tally k (Array.unsafe_get t.tally k + m)
 
 (* Fast-forward a [p]-periodic stretch of [len] events starting at
    [i0]: ev.(j) = ev.(j - p) for every event of the stretch (a steady
@@ -454,7 +437,6 @@ let[@inline] tally_n t site ok m =
    exact for every scheme: a period that is still training (or
    oscillating) never goes quiet and is simply stepped. *)
 let periodic_skip t sites tk vbuf i0 p len =
-  let step = t.step in
   let i = ref i0 and left = ref len in
   let quiet = ref false in
   while (not !quiet) && !left >= 2 * p do
@@ -463,7 +445,7 @@ let periodic_skip t sites tk vbuf i0 p len =
     for q = 0 to p - 1 do
       let j = !i + q in
       let r =
-        step (Array.unsafe_get sites j) (Bytes.unsafe_get tk j <> '\000')
+        step t (Array.unsafe_get sites j) (Bytes.unsafe_get tk j <> '\000')
       in
       Bytes.unsafe_set vbuf q (Char.unsafe_chr (r land 1));
       ch := !ch lor (r land 2)
@@ -493,13 +475,14 @@ let periodic_skip t sites tk vbuf i0 p len =
      quiet, is simply stepped *)
   while !left > 0 do
     let j = !i in
-    ignore (step (Array.unsafe_get sites j) (Bytes.unsafe_get tk j <> '\000'));
+    ignore
+      (step t (Array.unsafe_get sites j) (Bytes.unsafe_get tk j <> '\000'));
     incr i;
     decr left
   done
 
 (* [hook_batch t] is a chunk consumer equivalent to calling {!hook} on
-   every event of the chunk: one generic driver over the scheme's step.
+   every event of the chunk: one generic driver over {!step}.
    The [pr] array marks certified periodic stretches ([(len lsl 7) lor
    p] at the head of a [p]-periodic stretch of [len] events, 0
    elsewhere); the [rl] array gives the length of the run of identical
@@ -509,7 +492,6 @@ let periodic_skip t sites tk vbuf i0 p len =
    stretches to be maximal, so one split at a chunk boundary is just
    two shorter ones. *)
 let hook_batch t =
-  let step = t.step in
   let vbuf = Bytes.create 128 in
   fun sites tk rl pr n ->
     let i = ref 0 in
@@ -524,7 +506,7 @@ let hook_batch t =
         let k = Array.unsafe_get rl i0 in
         if k = 1 then
           ignore
-            (step (Array.unsafe_get sites i0)
+            (step t (Array.unsafe_get sites i0)
                (Bytes.unsafe_get tk i0 <> '\000'))
         else periodic_skip t sites tk vbuf i0 1 k;
         i := i0 + k
@@ -536,24 +518,25 @@ let simulate_runs ?warm scheme ~n_sites feed =
   feed (hook_batch t);
   t
 
-let reset_counts t =
-  t.correct <- 0;
-  t.incorrect <- 0;
-  Array.fill t.site_correct 0 (Array.length t.site_correct) 0;
-  Array.fill t.site_incorrect 0 (Array.length t.site_incorrect) 0
+let reset_counts t = Array.fill t.tally 0 (Array.length t.tally) 0
 
 let simulate ?warm scheme ~n_sites replay =
   let t = create ?warm scheme ~n_sites in
   replay (hook t);
   t
 
-let correct t = t.correct
-let incorrect t = t.incorrect
-let site_correct t = Array.copy t.site_correct
-let site_incorrect t = Array.copy t.site_incorrect
+(* each site's tally of verdict [v] (1 correct, 0 incorrect) *)
+let per_site t v =
+  Array.init (Array.length t.tally / 2) (fun s -> t.tally.((2 * s) + v))
+
+let site_correct t = per_site t 1
+let site_incorrect t = per_site t 0
+let correct t = Array.fold_left ( + ) 0 (site_correct t)
+let incorrect t = Array.fold_left ( + ) 0 (site_incorrect t)
 
 let percent_correct t =
-  Fisher92_util.Stats.percent t.correct (t.correct + t.incorrect)
+  let c = correct t in
+  Fisher92_util.Stats.percent c (c + incorrect t)
 
 (* ---- the rules' identity ---- *)
 
@@ -622,11 +605,11 @@ let compute_rules_digest () =
                 Array.iter (fun (s, taken) -> hook s taken) events)
           in
           Buffer.add_string buf (scheme_spec scheme);
+          let incorrect = site_incorrect t in
           Array.iteri
             (fun s c ->
-              Buffer.add_string buf
-                (Printf.sprintf " %d/%d" c t.site_incorrect.(s)))
-            t.site_correct;
+              Buffer.add_string buf (Printf.sprintf " %d/%d" c incorrect.(s)))
+            (site_correct t);
           Buffer.add_char buf '\n')
         [ None; Some warm ])
     (digest_schemes warm);

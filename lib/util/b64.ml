@@ -37,43 +37,52 @@ let encode s =
   | _ -> ());
   Buffer.contents out
 
+let[@inline] sextet s i =
+  Array.unsafe_get table (Char.code (String.unsafe_get s i))
+
+(* The quad at [i] as one 24-bit word, its last [pad] characters read
+   as zero bits.  The word is negative when a character it reads is
+   outside the alphabet, ['='] included: [table] maps those to -1 and
+   -2, and shifting and or-ing keeps a negative sextet's sign. *)
+let[@inline] quad s i pad =
+  let c = if pad = 2 then 0 else sextet s (i + 2) in
+  let d = if pad >= 1 then 0 else sextet s (i + 3) in
+  (sextet s i lsl 18) lor (sextet s (i + 1) lsl 12) lor (c lsl 6) lor d
+
+let[@inline] put out o w = Bytes.unsafe_set out o (Char.unsafe_chr (w land 255))
+
 let decode s =
   let n = String.length s in
   if n mod 4 <> 0 then None
   else if n = 0 then Some ""
   else begin
-    let out = Buffer.create (n / 4 * 3) in
-    let ok = ref true in
-    let i = ref 0 in
-    while !ok && !i < n do
-      let q j = table.(Char.code s.[!i + j]) in
-      let a = q 0 and b = q 1 and c = q 2 and d = q 3 in
-      let last = !i + 4 = n in
-      if a < 0 || b < 0 then ok := false
-      else if c = -2 then begin
-        (* "xx==": only at the very end, and the dropped bits must be 0 *)
-        if (not last) || d <> -2 || b land 15 <> 0 then ok := false
-        else Buffer.add_char out (Char.chr ((a lsl 2) lor (b lsr 4)))
-      end
-      else if c < 0 then ok := false
-      else if d = -2 then begin
-        (* "xxx=": only at the very end *)
-        if (not last) || c land 3 <> 0 then ok := false
-        else begin
-          Buffer.add_char out (Char.chr ((a lsl 2) lor (b lsr 4)));
-          Buffer.add_char out (Char.chr (((b land 15) lsl 4) lor (c lsr 2)))
-        end
-      end
-      else if d < 0 then ok := false
+    (* only the last quad may end in "=" or "==", so the output length
+       is known before any byte is decoded *)
+    let pad =
+      if s.[n - 1] <> '=' then 0 else if s.[n - 2] <> '=' then 1 else 2
+    in
+    let out = Bytes.create ((n / 4 * 3) - pad) in
+    let ok = ref true and i = ref 0 and o = ref 0 in
+    while !ok && !i < n - 4 do
+      let w = quad s !i 0 in
+      if w < 0 then ok := false
       else begin
-        let w = (a lsl 18) lor (b lsl 12) lor (c lsl 6) lor d in
-        Buffer.add_char out (Char.chr (w lsr 16));
-        Buffer.add_char out (Char.chr ((w lsr 8) land 255));
-        Buffer.add_char out (Char.chr (w land 255))
-      end;
-      i := !i + 4
+        put out !o (w lsr 16);
+        put out (!o + 1) (w lsr 8);
+        put out (!o + 2) w;
+        i := !i + 4;
+        o := !o + 3
+      end
     done;
-    if !ok then Some (Buffer.contents out) else None
+    (* the last quad: the bits its padding drops must be 0 *)
+    let w = quad s (n - 4) pad in
+    if !ok && w >= 0 && w land ((1 lsl (8 * pad)) - 1) = 0 then begin
+      put out !o (w lsr 16);
+      if pad < 2 then put out (!o + 1) (w lsr 8);
+      if pad < 1 then put out (!o + 2) w;
+      Some (Bytes.unsafe_to_string out)
+    end
+    else None
   end
 
 let wrap ~width s =
@@ -82,7 +91,7 @@ let wrap ~width s =
   let rec go i acc =
     if i >= n then List.rev acc
     else
-      let len = min width (n - i) in
+      let len = Int.min width (n - i) in
       go (i + len) (String.sub s i len :: acc)
   in
   if n = 0 then [] else go 0 []

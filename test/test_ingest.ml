@@ -276,6 +276,41 @@ let test_service_damaged_db () =
     (accumulated_of_db (Service.base_db svc2));
   Service.close svc2
 
+(* A database in another format (here the retired v1 format) holds
+   nothing the salvage scan can read, and the first compaction would
+   replace it: the service moves it to the quarantine directory, bytes
+   intact beside its reason, and starts from a fresh database. *)
+let test_service_foreign_db () =
+  with_dir @@ fun dir ->
+  let v1 = Sectfile.read_file "data/sample_v1.db" in
+  Sectfile.mkdir_p dir;
+  Out_channel.with_open_bin (Service.db_path ~dir) (fun oc ->
+      output_string oc v1);
+  let svc = Service.open_ (cfg dir) in
+  Alcotest.(check (list string)) "one note, naming the move"
+    [
+      "database unreadable (line 1: unsupported format (expected \
+       ifprobdb2)); quarantined as ifprob.db";
+    ]
+    (Service.notes svc);
+  let moved = Filename.concat (Service.quarantine_dir ~dir) "ifprob.db" in
+  Alcotest.(check string) "quarantine holds the original bytes" v1
+    (Sectfile.read_file moved);
+  Alcotest.(check string) "beside its reason"
+    "line 1: unsupported format (expected ifprobdb2)\n"
+    (Sectfile.read_file (moved ^ ".reason"));
+  let d = mk ~nonce:1 [ (0, 4, 1) ] in
+  (match Service.submit svc d with
+  | Service.Acked -> ()
+  | o -> Alcotest.failf "expected an ack, got %s" (Service.outcome_name o));
+  Service.compact svc;
+  Service.close svc;
+  check_counters "the fresh database holds the new delta"
+    (expected [ Delta.entries d ])
+    (accumulated_of_db (Db.load_file (Service.db_path ~dir)));
+  Alcotest.(check string) "compaction left the quarantined copy alone" v1
+    (Sectfile.read_file moved)
+
 let test_service_saturation () =
   with_dir @@ fun dir ->
   let svc = Service.open_ (cfg dir) in
@@ -650,6 +685,8 @@ let () =
             test_service_duplicate_and_replay;
           Alcotest.test_case "empty delta" `Quick test_service_empty_delta;
           Alcotest.test_case "damaged database" `Quick test_service_damaged_db;
+          Alcotest.test_case "database in another format" `Quick
+            test_service_foreign_db;
           Alcotest.test_case "saturation near max_int" `Quick
             test_service_saturation;
           Alcotest.test_case "stale client degradation" `Quick

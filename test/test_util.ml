@@ -3,6 +3,7 @@ module Stats = Fisher92_util.Stats
 module Env = Fisher92_util.Env
 module Varint = Fisher92_util.Varint
 module Fnv = Fisher92_util.Fnv
+module B64 = Fisher92_util.B64
 
 let test_determinism () =
   let a = Rng.create 42 and b = Rng.create 42 in
@@ -399,6 +400,38 @@ let prop_zigzag_order =
       (* |zigzag n| grows with |n|, so varint length tracks magnitude *)
       Varint.zigzag n = if n >= 0 then 2 * n else (-2 * n) - 1)
 
+(* Together the two properties pin the decoder's accept set: it takes
+   back every encoding, and anything it takes is the encoding of what
+   it returns. *)
+let prop_b64_roundtrip =
+  QCheck2.Test.make ~count:2000 ~name:"b64 decode (encode s) = Some s"
+    QCheck2.Gen.(string_size (int_bound 40))
+    (fun s -> B64.decode (B64.encode s) = Some s)
+
+(* Whole quads over the alphabet, '=' and a few bytes outside it: a
+   non-zero pad bit, an inner '=' or whitespace would decode to bytes
+   whose encoding is another string. *)
+let prop_b64_canonical =
+  let alphabet =
+    List.init 64 (fun i ->
+        "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/".[i])
+  in
+  QCheck2.Test.make ~count:5000
+    ~name:"b64 decode x = Some b implies encode b = x"
+    ~print:(Printf.sprintf "%S")
+    QCheck2.Gen.(
+      string_size
+        ~gen:
+          (frequency
+             [
+               (16, oneofl alphabet);
+               (3, return '=');
+               (1, oneofl [ ' '; '\n'; '*'; '\000'; '\255' ]);
+             ])
+        (map (fun q -> 4 * q) (int_bound 4)))
+    (fun x ->
+      match B64.decode x with Some b -> B64.encode b = x | None -> true)
+
 (* The published FNV-1a 64-bit test vectors: every store key and
    section checksum in the repository is one of these hashes. *)
 let test_fnv_vectors () =
@@ -458,6 +491,11 @@ let () =
             test_zigzag_extremes;
           QCheck_alcotest.to_alcotest prop_zigzag_roundtrip;
           QCheck_alcotest.to_alcotest prop_zigzag_order;
+        ] );
+      ( "b64",
+        [
+          QCheck_alcotest.to_alcotest prop_b64_roundtrip;
+          QCheck_alcotest.to_alcotest prop_b64_canonical;
         ] );
       ( "env",
         [

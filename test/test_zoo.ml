@@ -355,22 +355,108 @@ let test_static_length_validated () =
   in
   Alcotest.(check int) "static still predicts" 1 (Dynamic.correct sim)
 
+(* Both entry points range-check every site they step: [hook], and
+   [hook_batch] on a lone event and on a run head (the run goes
+   through the fast-forward driver). *)
 let test_hook_site_bounds () =
   let sim = Dynamic.create Dynamic.Two_bit ~n_sites:2 in
   check_invalid "site too high" "out of range" (fun () ->
       Dynamic.hook sim 2 true);
   check_invalid "negative site" "out of range" (fun () ->
       Dynamic.hook sim (-1) true);
+  let schemes =
+    ("1-bit", Dynamic.Last_direction)
+    :: List.map (fun z -> (z.Predictor.d_name, z.Predictor.d_scheme)) (zoo ())
+  in
   List.iter
-    (fun z ->
-      let sim = Dynamic.create z.Predictor.d_scheme ~n_sites:3 in
-      check_invalid (z.Predictor.d_name ^ " bounds") "out of range" (fun () ->
-          Dynamic.hook sim 7 false))
-    (zoo ())
+    (fun (name, scheme) ->
+      let sim = Dynamic.create scheme ~n_sites:3 in
+      check_invalid (name ^ " bounds") "out of range" (fun () ->
+          Dynamic.hook sim 7 false);
+      List.iter
+        (fun site ->
+          let batch what sites runs =
+            let n = Array.length sites in
+            check_invalid
+              (Printf.sprintf "%s hook_batch %s %d" name what site)
+              "out of range"
+              (fun () ->
+                Dynamic.hook_batch
+                  (Dynamic.create scheme ~n_sites:3)
+                  sites (Bytes.make n '\001') runs (Array.make n 0) n)
+          in
+          batch "lone event" [| 0; site; 1 |] [| 1; 1; 1 |];
+          batch "run head" [| 0; site; site; site |] [| 1; 3; 0; 0 |])
+        [ 3; 7; -1 ])
+    schemes
+
+(* With no sites a predictor still keeps one tally slot, as it always
+   has: zero verdicts, and one-element per-site arrays. *)
+let test_zero_sites () =
+  let schemes =
+    Dynamic.Last_direction :: Dynamic.Static [||]
+    :: List.map (fun z -> z.Predictor.d_scheme) (zoo ())
+  in
+  List.iter
+    (fun scheme ->
+      let sim = Dynamic.create scheme ~n_sites:0 in
+      let name = Dynamic.scheme_name scheme in
+      Alcotest.(check (pair int int))
+        (name ^ " tallies nothing") (0, 0)
+        (Dynamic.correct sim, Dynamic.incorrect sim);
+      Alcotest.(check (pair int int))
+        (name ^ " per-site lengths") (1, 1)
+        ( Array.length (Dynamic.site_correct sim),
+          Array.length (Dynamic.site_incorrect sim) );
+      check_invalid (name ^ " site 0") "out of range" (fun () ->
+          Dynamic.hook sim 0 true))
+    schemes
 
 let test_warm_length_validated () =
   check_invalid "warm too short" "warm prediction" (fun () ->
       Dynamic.create ~warm:[| true |] Dynamic.Two_bit ~n_sites:3)
+
+(* ---------- batched replay allocates nothing per event ---------- *)
+
+(* 64k irregular events over 64 sites, decoded by [iter_runs]: runs of
+   about one event, so nearly every event is stepped.  Only the
+   [hook_batch] calls are counted, not the decode. *)
+let test_batched_allocation () =
+  let module Rng = Fisher92_util.Rng in
+  let rng = Rng.create 64 in
+  let n_sites = 64 and events = 65536 in
+  let evs =
+    List.init events (fun _ ->
+        let s = Rng.int rng n_sites in
+        (s, Rng.chance rng (float_of_int (s + 1) /. 65.0)))
+  in
+  let reader = Trace.Reader.of_string (trace_text ~n_sites evs) in
+  let warm = Array.init n_sites (fun s -> s land 1 = 0) in
+  let sims =
+    ("1-bit cold", Dynamic.Last_direction, None)
+    :: List.concat_map
+         (fun z ->
+           [
+             (z.Predictor.d_name ^ " cold", z.Predictor.d_scheme, None);
+             (z.Predictor.d_name ^ " warm", z.Predictor.d_scheme, Some warm);
+           ])
+         (zoo ())
+  in
+  List.iter
+    (fun (name, scheme, warm) ->
+      let sim = Dynamic.create ?warm scheme ~n_sites in
+      let h = Dynamic.hook_batch sim in
+      let words = ref 0.0 in
+      Trace.Reader.iter_runs reader (fun sites tk rl pr n ->
+          let w0 = Gc.minor_words () in
+          h sites tk rl pr n;
+          words := !words +. (Gc.minor_words () -. w0));
+      Alcotest.(check int) (name ^ " replayed every event") events
+        (Dynamic.correct sim + Dynamic.incorrect sim);
+      let per_event = !words /. float_of_int events in
+      if per_event >= 0.01 then
+        Alcotest.failf "%s: %.4f words per event (want < 0.01)" name per_event)
+    sims
 
 (* ---------- new-scheme semantics, hand-evaluated ---------- *)
 
@@ -708,6 +794,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_batched_equals_streaming;
           QCheck_alcotest.to_alcotest prop_batched_loopy;
         ] );
+      ( "kernel",
+        [
+          Alcotest.test_case "batched replay allocates nothing" `Quick
+            test_batched_allocation;
+        ] );
       ( "golden",
         [
           Alcotest.test_case "zoo streams (streaming)" `Quick
@@ -720,6 +811,7 @@ let () =
           Alcotest.test_case "static length validated" `Quick
             test_static_length_validated;
           Alcotest.test_case "hook site bounds" `Quick test_hook_site_bounds;
+          Alcotest.test_case "zero-site predictor" `Quick test_zero_sites;
           Alcotest.test_case "warm length validated" `Quick
             test_warm_length_validated;
         ] );
