@@ -69,24 +69,50 @@ let write_file path text =
   writing path (fun () ->
       Out_channel.with_open_bin path (fun oc -> output_string oc text))
 
-(* A count option ([--domains], [--variants], [--count], [--top]) below 1
-   is a usage error, not an empty run or a crash. *)
-let positive opt n =
-  if n < 1 then
-    usage_error opt (Printf.sprintf "expected a positive integer, got %d" n);
-  n
+(* Every int-valued option is declared once, through [int_opt] or
+   [int_opt_some], together with the check its value must pass.  A
+   value that fails the check is a usage error, not an empty run or a
+   crash.  The names declared here are also the ones
+   [join_negative_ints] joins with a negative number that follows
+   them. *)
+type int_check = Any | Positive | Between of int * int
+
+let int_option_names = ref []
+
+let checked_int name check n =
+  match check with
+  | Positive when n < 1 ->
+    usage_error name (Printf.sprintf "expected a positive integer, got %d" n)
+  | Between (lo, hi) when n < lo || n > hi ->
+    usage_error name
+      (Printf.sprintf "expected an integer from %d to %d, got %d" lo hi n)
+  | Any | Positive | Between _ -> n
+
+(* Register [names] and return the long form that errors name. *)
+let declare_int names =
+  int_option_names := names @ !int_option_names;
+  "--" ^ List.find (fun n -> String.length n > 1) names
+
+let int_opt ?(check = Any) names ~docv ~doc default =
+  let opt_name = declare_int names in
+  Term.(
+    const (checked_int opt_name check)
+    $ Arg.(value & opt int default & info names ~docv ~doc))
+
+(* An int option without a default: [None] when absent. *)
+let int_opt_some ?(check = Any) names ~docv ~doc =
+  let opt_name = declare_int names in
+  Term.(
+    const (Option.map (checked_int opt_name check))
+    $ Arg.(value & opt (some int) None & info names ~docv ~doc))
 
 (* [--domains N] for every command that fans work over the domain pool.
    The pool would clamp N below 1 to one domain; asking for that is a
    usage error instead. *)
 let domains_term =
-  Term.(
-    const (Option.map (positive "--domains"))
-    $ Arg.(value & opt (some int) None
-           & info [ "domains" ] ~docv:"N"
-               ~doc:"Run over $(docv) worker domains (default: the \
-                     machine's recommended domain count, or \
-                     FISHER92_DOMAINS)"))
+  int_opt_some ~check:Positive [ "domains" ] ~docv:"N"
+    ~doc:"Run over $(docv) worker domains (default: the machine's \
+          recommended domain count, or FISHER92_DOMAINS)"
 
 (* ---- list ---- *)
 
@@ -627,10 +653,8 @@ let hotspots_cmd =
   let prog = Arg.(required & pos 0 (some string) None & info [] ~docv:"PROGRAM") in
   let dataset = Arg.(required & pos 1 (some string) None & info [] ~docv:"DATASET") in
   let top =
-    Term.(
-      const (positive "--top")
-      $ Arg.(value & opt int 15
-             & info [ "n"; "top" ] ~docv:"N" ~doc:"How many sites to show"))
+    int_opt ~check:Positive [ "n"; "top" ] ~docv:"N"
+      ~doc:"How many sites to show" 15
   in
   Cmd.v
     (Cmd.info "hotspots" ~doc:"Show the busiest branch sites of one run")
@@ -809,16 +833,16 @@ let serve_cmd =
            ~doc:"Service directory (database, WAL, spool, quarantine)")
   in
   let rounds =
-    Arg.(value & opt int 1 & info [ "rounds" ] ~docv:"N"
-           ~doc:"Drain-and-compact rounds to run (default 1: one-shot)")
+    int_opt ~check:Positive [ "rounds" ] ~docv:"N"
+      ~doc:"Drain-and-compact rounds to run (default 1: one-shot)" 1
   in
   let interval =
     Arg.(value & opt float 0.5 & info [ "interval" ] ~docv:"SECS"
            ~doc:"Sleep between rounds")
   in
   let shards =
-    Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N"
-           ~doc:"Merge shard count (default: $(b,FISHER92_SHARDS))")
+    int_opt_some ~check:(Between (1, 256)) [ "shards" ] ~docv:"N"
+      ~doc:"Merge shard count, 1 to 256 (default: $(b,FISHER92_SHARDS))"
   in
   Cmd.v
     (Cmd.info "serve"
@@ -876,9 +900,10 @@ let submit_cmd =
            ~doc:"Dataset bucket in the pool database (default: the dataset)")
   in
   let nonce =
-    Arg.(value & opt int 0 & info [ "nonce" ] ~docv:"N"
-           ~doc:"Submission nonce: same counters + same nonce = same \
-                 delta id (an idempotent retry)")
+    int_opt [ "nonce" ] ~docv:"N"
+      ~doc:"Submission nonce: same counters + same nonce = same delta id \
+            (an idempotent retry)"
+      0
   in
   Cmd.v
     (Cmd.info "submit"
@@ -974,15 +999,13 @@ let synth_gen_cmd =
     end
   in
   let seed =
-    Arg.(value & opt int Sweep.default_seed
-         & info [ "seed" ] ~docv:"N"
-             ~doc:"Base seed; program $(i,k) of the batch uses seed N+k")
+    int_opt [ "seed" ] ~docv:"N"
+      ~doc:"Base seed; program $(i,k) of the batch uses seed N+k"
+      Sweep.default_seed
   in
   let count =
-    Term.(
-      const (positive "--count")
-      $ Arg.(value & opt int 1
-             & info [ "count" ] ~docv:"K" ~doc:"How many programs to generate"))
+    int_opt ~check:Positive [ "count" ] ~docv:"K"
+      ~doc:"How many programs to generate" 1
   in
   let template =
     let tconv =
@@ -1047,16 +1070,10 @@ let synth_sweep_cmd =
     | `Text -> print_string (Sweep.render items)
     | `Tsv -> print_string (Table.tsv Sweep.columns items)
   in
-  let seed =
-    Arg.(value & opt int Sweep.default_seed
-         & info [ "seed" ] ~docv:"N" ~doc:"Grid seed")
-  in
+  let seed = int_opt [ "seed" ] ~docv:"N" ~doc:"Grid seed" Sweep.default_seed in
   let variants =
-    Term.(
-      const (positive "--variants")
-      $ Arg.(value & opt int 5
-             & info [ "variants" ] ~docv:"V"
-                 ~doc:"Structural variants per (template, bias, shift) cell"))
+    int_opt ~check:Positive [ "variants" ] ~docv:"V"
+      ~doc:"Structural variants per (template, bias, shift) cell" 5
   in
   let cache =
     Arg.(value & opt bool true
@@ -1118,19 +1135,22 @@ let synth_cmd =
     [ synth_gen_cmd; synth_charz_cmd; synth_sweep_cmd; synth_curated_cmd ]
 
 (* cmdliner reads an argument starting with '-' as an option, so left
-   alone [--top -3] fails with "unknown option '-3'" and a usage block.
-   A count option followed by a negative number is joined into the
-   [--top=-3] ([-n-3]) form, which [positive] rejects in one line. *)
-let join_negative_counts argv =
+   alone [--seed -1] fails with "unknown option '-1'" and a usage block.
+   An int option followed by a negative number is joined into the
+   [--seed=-1] ([-n-3]) form, which cmdliner parses and the option's
+   check then accepts or rejects in one line. *)
+let join_negative_ints argv =
   let negative v =
     String.length v > 1 && v.[0] = '-' && Option.is_some (int_of_string_opt v)
   in
+  let spelling n = if String.length n = 1 then "-" ^ n else "--" ^ n in
+  let int_option a =
+    List.exists (fun n -> String.equal (spelling n) a) !int_option_names
+  in
   let rec go = function
     | "--" :: _ as rest -> rest
-    | "-n" :: v :: rest when negative v -> ("-n" ^ v) :: go rest
-    | (("--top" | "--domains" | "--count" | "--variants") as o) :: v :: rest
-      when negative v ->
-      (o ^ "=" ^ v) :: go rest
+    | o :: v :: rest when int_option o && negative v ->
+      (if String.length o = 2 then o ^ v else o ^ "=" ^ v) :: go rest
     | a :: rest -> a :: go rest
     | [] -> []
   in
@@ -1144,7 +1164,7 @@ let () =
          Branch Directions From Previous Runs of a Program' (ASPLOS 1992)"
   in
   exit
-    (Cmd.eval ~argv:(join_negative_counts Sys.argv)
+    (Cmd.eval ~argv:(join_negative_ints Sys.argv)
        (Cmd.group info
           [ list_cmd; run_cmd; profile_cmd; predict_cmd; experiments_cmd;
             db_cmd; trace_cmd; hotspots_cmd; lint_cmd; analyze_cmd;

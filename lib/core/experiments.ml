@@ -1129,11 +1129,10 @@ let static_proof study =
       let profile_mr = ref 0 and proof_mr = ref 0 in
       List.iteri
         (fun i target ->
-          let others = List.filteri (fun j _ -> j <> i) profiles in
-          let majority s =
-            match others with
-            | [] -> None
-            | ps -> Profile.majority_taken (Profile.sum ps) s
+          let majority =
+            match List.filteri (fun j _ -> j <> i) profiles with
+            | [] -> fun _ -> None
+            | others -> Profile.majority_taken (Profile.sum others)
           in
           let alone =
             Array.init n (fun s ->

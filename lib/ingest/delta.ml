@@ -28,8 +28,10 @@ type t = {
 
 let corrupt fmt = Sectfile.failf 0 fmt
 
+let has_newline s = String.contains s '\n' || String.contains s '\r'
+
 let check_no_newline what s =
-  if String.contains s '\n' || String.contains s '\r' then
+  if has_newline s then
     invalid_arg (Printf.sprintf "Delta: %s contains a newline" what)
 
 let validate_entries ~n_sites sites enc taken =
@@ -46,21 +48,72 @@ let validate_entries ~n_sites sites enc taken =
   done
 
 let is_hex16 s =
-  String.length s = 16
-  && String.for_all
-       (fun c -> (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))
-       s
+  let ok = ref (String.length s = 16) in
+  for i = 0 to String.length s - 1 do
+    let c = s.[i] in
+    if not ((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) then ok := false
+  done;
+  !ok
 
+(* The order [compare] gives int triples, without its generic C
+   primitive. *)
+let compare_entry ((s, e, t) : int * int * int) (s', e', t') =
+  let c = Int.compare s s' in
+  if c <> 0 then c
+  else
+    let c = Int.compare e e' in
+    if c <> 0 then c else Int.compare t t'
+
+(* Callers usually give the entries in order already ([of_profile]
+   does), and one pass of comparisons is cheaper than a sort. *)
+let ascending entries =
+  let ok = ref true in
+  for i = 1 to Array.length entries - 1 do
+    if compare_entry entries.(i - 1) entries.(i) > 0 then ok := false
+  done;
+  !ok
+
+let[@inline] fold_byte h b =
+  Int64.mul (Int64.logxor h (Int64.of_int b)) Fnv.prime
+
+(* FNV-1a over the program, fingerprint, label and nonce, one per line,
+   then one "site enc taken" line per entry.  The entry lines are folded
+   digit by digit, the bytes [Printf.sprintf "%d %d %d"] would print
+   (every count is non-negative once validated), so no string is built
+   per entry and the accumulator stays unboxed. *)
 let id_of ~program ~fingerprint ~label ~nonce sites enc taken =
-  let h = ref Fnv.seed in
-  let add s = h := Fnv.fold (Fnv.fold !h s) "\n" in
-  add program;
-  add fingerprint;
-  add label;
-  add (string_of_int nonce);
-  Array.iteri
-    (fun i s -> add (Printf.sprintf "%d %d %d" s enc.(i) taken.(i)))
-    sites;
+  let h =
+    ref
+      (List.fold_left
+         (fun h s -> Fnv.fold (Fnv.fold h s) "\n")
+         Fnv.seed
+         [ program; fingerprint; label; string_of_int nonce ])
+  in
+  let digits = Bytes.create 20 in
+  for i = 0 to Array.length sites - 1 do
+    for field = 0 to 2 do
+      let v =
+        ref
+          (if field = 0 then sites.(i)
+           else if field = 1 then enc.(i)
+           else taken.(i))
+      in
+      (* least significant digit first, then folded in reverse *)
+      let n = ref 0 in
+      while
+        Bytes.unsafe_set digits !n (Char.unsafe_chr (48 + (!v mod 10)));
+        incr n;
+        v := !v / 10;
+        !v > 0
+      do
+        ()
+      done;
+      for k = !n - 1 downto 0 do
+        h := fold_byte !h (Char.code (Bytes.unsafe_get digits k))
+      done;
+      h := fold_byte !h (if field = 2 then Char.code '\n' else Char.code ' ')
+    done
+  done;
   Fnv.to_hex !h
 
 let make ~program ~fingerprint ~label ~n_sites ?keys ~nonce entries =
@@ -74,10 +127,11 @@ let make ~program ~fingerprint ~label ~n_sites ?keys ~nonce entries =
       invalid_arg "Delta: one key per site required";
     Array.iter (check_no_newline "site key") ks
   | None -> ());
-  let entries = List.sort compare entries in
-  let sites = Array.of_list (List.map (fun (s, _, _) -> s) entries) in
-  let enc = Array.of_list (List.map (fun (_, e, _) -> e) entries) in
-  let taken = Array.of_list (List.map (fun (_, _, t) -> t) entries) in
+  let entries = Array.of_list entries in
+  if not (ascending entries) then Array.stable_sort compare_entry entries;
+  let sites = Array.map (fun (s, _, _) -> s) entries in
+  let enc = Array.map (fun (_, e, _) -> e) entries in
+  let taken = Array.map (fun (_, _, t) -> t) entries in
   validate_entries ~n_sites sites enc taken;
   {
     d_id = id_of ~program ~fingerprint ~label ~nonce sites enc taken;
@@ -154,11 +208,8 @@ let decode payload =
   let program = read_string payload pos in
   let fingerprint = read_string payload pos in
   let label = read_string payload pos in
-  if
-    List.exists
-      (fun s -> String.contains s '\n' || String.contains s '\r')
-      [ program; fingerprint; label ]
-  then corrupt "newline in delta field";
+  if has_newline program || has_newline fingerprint || has_newline label then
+    corrupt "newline in delta field";
   let n_sites = read_nat payload pos in
   let n = read_nat payload pos in
   if n > n_sites then corrupt "more entries than sites";
@@ -181,12 +232,17 @@ let decode payload =
     match read_nat payload pos with
     | 0 -> None
     | 1 ->
-      Some
-        (Array.init n_sites (fun _ ->
-             let k = read_string payload pos in
-             if String.contains k '\n' || String.contains k '\r' then
-               corrupt "newline in site key";
-             k))
+      (* each key takes at least its length byte: a site count the
+         payload cannot hold is damage, not an array to allocate *)
+      if n_sites > String.length payload - !pos then
+        corrupt "site keys run past the payload";
+      let keys = Array.make n_sites "" in
+      for s = 0 to n_sites - 1 do
+        let k = read_string payload pos in
+        if has_newline k then corrupt "newline in site key";
+        keys.(s) <- k
+      done;
+      Some keys
     | _ -> corrupt "malformed keys flag"
   in
   if !pos <> String.length payload then corrupt "trailing bytes after delta";

@@ -45,32 +45,41 @@ let tables_of t label =
 
 let sat x = if x < 0 then max_int else x
 
-let merge t ~label entries =
-  List.iter
-    (fun (s, e, tk) ->
-      if s < 0 || s >= t.m_n_sites then
-        invalid_arg "Merge.merge: site out of range";
-      if e < 0 || tk < 0 || tk > e then invalid_arg "Merge.merge: bad counts")
-    entries;
-  let enc, taken = tables_of t label in
+let merge t ~label sites enc taken =
+  let m = Array.length sites in
+  if Array.length enc <> m || Array.length taken <> m then
+    invalid_arg "Merge.merge: entry arrays disagree in length";
+  for i = 0 to m - 1 do
+    if sites.(i) < 0 || sites.(i) >= t.m_n_sites then
+      invalid_arg "Merge.merge: site out of range";
+    if enc.(i) < 0 || taken.(i) < 0 || taken.(i) > enc.(i) then
+      invalid_arg "Merge.merge: bad counts"
+  done;
+  let enc_t, taken_t = tables_of t label in
   let n = n_shards t in
-  (* Bucket the entries per shard and take each needed lock exactly
-     once, in ascending order (deadlock-free against concurrent
-     submitters). *)
-  let buckets = Array.make n [] in
-  List.iter (fun ((s, _, _) as entry) ->
-      buckets.(s mod n) <- entry :: buckets.(s mod n))
-    entries;
-  Array.iteri
-    (fun k bucket ->
-      if bucket <> [] then
-        Mutex.protect t.m_locks.(k) (fun () ->
-            List.iter
-              (fun (s, e, tk) ->
-                enc.(s) <- sat (enc.(s) + e);
-                taken.(s) <- sat (taken.(s) + tk))
-              bucket))
-    buckets
+  (* Chain the entries per shard through two int arrays, each chain in
+     entry order, then take each needed lock exactly once, in ascending
+     order (deadlock-free against concurrent submitters). *)
+  let first = Array.make n (-1) and next = Array.make m (-1) in
+  for i = m - 1 downto 0 do
+    let k = sites.(i) mod n in
+    next.(i) <- first.(k);
+    first.(k) <- i
+  done;
+  for k = 0 to n - 1 do
+    if first.(k) >= 0 then begin
+      (* nothing below can raise: the sites were checked above *)
+      Mutex.lock t.m_locks.(k);
+      let i = ref first.(k) in
+      while !i >= 0 do
+        let s = sites.(!i) in
+        enc_t.(s) <- sat (enc_t.(s) + enc.(!i));
+        taken_t.(s) <- sat (taken_t.(s) + taken.(!i));
+        i := next.(!i)
+      done;
+      Mutex.unlock t.m_locks.(k)
+    end
+  done
 
 let snapshot t =
   (* Only sound under quiescence (the service's compaction gate): reads

@@ -15,10 +15,12 @@ val create : ?shards:int -> n_sites:int -> unit -> t
 val n_shards : t -> int
 val n_sites : t -> int
 
-val merge : t -> label:string -> (int * int * int) list -> unit
-(** Fold [(site, encountered, taken)] increments into [label]'s
-    counters.  Thread-safe; locks each touched shard exactly once, in
-    ascending order.  @raise Invalid_argument on out-of-range sites or
+val merge : t -> label:string -> int array -> int array -> int array -> unit
+(** [merge t ~label sites enc taken] folds the increments
+    [(sites.(i), enc.(i), taken.(i))] into [label]'s counters.
+    Thread-safe; locks each touched shard exactly once, in ascending
+    order.  @raise Invalid_argument, before any counter moves, on arrays
+    of different lengths, out-of-range sites or
     [taken > encountered]. *)
 
 val snapshot : t -> (string * int array * int array) list

@@ -1,8 +1,9 @@
 (* The crash-safe concurrent ingest service.
 
    Durability protocol, per submission:
-     enter gate -> [wal_lock: dedup id, WAL append+fsync] -> sharded
-     merge -> exit gate -> ack.
+     classify + encode the WAL record -> enter gate -> [wal_lock: dedup
+     id, WAL append+fsync, insert id] -> sharded merge -> exit gate ->
+     ack.
    The gate is a counter of in-flight submitters plus a [compacting]
    flag: compaction raises the flag (blocking new entries) and waits
    for the counter to reach zero, so when it snapshots the merge every
@@ -58,7 +59,7 @@ type stats = {
   mutable st_duplicates : int;
   mutable st_remapped : int;  (* of accepted: via the stale-client path *)
   mutable st_dropped_entries : int;  (* counter entries lost to remap *)
-  mutable st_quarantined : int;
+  mutable st_quarantined : int;  (* rejected deltas, moved db/WAL files *)
   mutable st_compactions : int;
   mutable st_replayed : int;  (* WAL records re-applied by recovery *)
 }
@@ -88,9 +89,9 @@ let config t = t.cfg
 (* ---- the stale-client degradation chain ---- *)
 
 (* Classify a decoded delta against the pool build.  Returns the
-   entries to merge (remapped when stale) or the quarantine reason.
-   Pure with respect to service state, so recovery replays records
-   through the same logic. *)
+   entry arrays to merge (the delta's own, or remapped when stale) or
+   the quarantine reason.  Pure with respect to service state, so
+   recovery replays records through the same logic. *)
 let classify cfg (d : Delta.t) =
   if not (String.equal d.Delta.d_program cfg.c_program) then
     Error
@@ -99,7 +100,7 @@ let classify cfg (d : Delta.t) =
   else if String.equal d.Delta.d_fingerprint cfg.c_fingerprint then
     if d.Delta.d_n_sites <> cfg.c_n_sites then
       Error "fingerprint matches but site count does not"
-    else Ok (Delta.entries d, None)
+    else Ok (d.Delta.d_sites, d.Delta.d_enc, d.Delta.d_taken, None)
   else
     match d.Delta.d_keys with
     | None -> Error "stale fingerprint and no site keys to remap by"
@@ -107,14 +108,25 @@ let classify cfg (d : Delta.t) =
       let corr =
         Remap.correspondence ~from_keys:client_keys ~to_keys:cfg.c_sitekeys
       in
-      let kept = ref [] and dropped = ref 0 in
-      List.iter
-        (fun (s, e, tk) ->
-          match corr.(s) with
-          | Some pool_s -> kept := (pool_s, e, tk) :: !kept
-          | None -> incr dropped)
-        (Delta.entries d);
-      Ok (List.rev !kept, Some !dropped)
+      let n = Array.length d.Delta.d_sites in
+      let sites = Array.make n 0 and enc = Array.make n 0 in
+      let taken = Array.make n 0 in
+      let kept = ref 0 in
+      for i = 0 to n - 1 do
+        match corr.(d.Delta.d_sites.(i)) with
+        | Some pool_s ->
+          sites.(!kept) <- pool_s;
+          enc.(!kept) <- d.Delta.d_enc.(i);
+          taken.(!kept) <- d.Delta.d_taken.(i);
+          incr kept
+        | None -> ()
+      done;
+      let k = !kept in
+      Ok
+        ( Array.sub sites 0 k,
+          Array.sub enc 0 k,
+          Array.sub taken 0 k,
+          Some (n - k) )
 
 (* ---- the compaction gate ---- *)
 
@@ -139,16 +151,20 @@ let submit t (d : Delta.t) =
   | Error reason ->
     t.stats.st_quarantined <- t.stats.st_quarantined + 1;
     Quarantined reason
-  | Ok (entries, remap_drops) ->
+  | Ok (sites, enc, taken, remap_drops) ->
+    (* The original delta goes to the log — replay remaps it against
+       whatever build the pool holds at recovery.  Its record is a pure
+       function of the delta, so it is encoded here, in the submitter's
+       own domain, and the WAL lock covers only the id check, the
+       append and the insert. *)
+    let line = Wal.record_line d in
     enter_gate t;
     Fun.protect ~finally:(fun () -> exit_gate t) @@ fun () ->
     let fresh =
       Mutex.protect t.wal_lock (fun () ->
           if Hashtbl.mem t.ids d.Delta.d_id then false
           else begin
-            (* The original delta goes to the log — replay remaps it
-               against whatever build the pool holds at recovery. *)
-            Wal.append t.wal d;
+            Wal.append t.wal line;
             Hashtbl.replace t.ids d.Delta.d_id ();
             true
           end)
@@ -158,7 +174,7 @@ let submit t (d : Delta.t) =
       Duplicate
     end
     else begin
-      Merge.merge t.merge ~label:d.Delta.d_label entries;
+      Merge.merge t.merge ~label:d.Delta.d_label sites enc taken;
       t.stats.st_accepted <- t.stats.st_accepted + 1;
       match remap_drops with
       | None -> Acked
@@ -327,6 +343,7 @@ let open_ cfg =
       match report.Db.r_dropped with
       | [] -> db
       | i :: _ when report.Db.r_version = 0 ->
+        stats.st_quarantined <- stats.st_quarantined + 1;
         let dst =
           quarantine_file ~dir:cfg.c_dir dbp
             (Printf.sprintf "line %d: %s" i.Db.i_line i.Db.i_reason)
@@ -366,6 +383,7 @@ let open_ cfg =
     match Wal.replay ~dir:cfg.c_dir with
     | replayed -> replayed
     | exception Sectfile.Bad (line, msg) ->
+      stats.st_quarantined <- stats.st_quarantined + 1;
       let dst =
         quarantine_file ~dir:cfg.c_dir
           (Wal.path ~dir:cfg.c_dir)
@@ -391,8 +409,8 @@ let open_ cfg =
           if not (Hashtbl.mem ids d.Delta.d_id) then begin
             Hashtbl.replace ids d.Delta.d_id ();
             match classify cfg d with
-            | Ok (entries, remap_drops) ->
-              Merge.merge merge ~label:d.Delta.d_label entries;
+            | Ok (sites, enc, taken, remap_drops) ->
+              Merge.merge merge ~label:d.Delta.d_label sites enc taken;
               stats.st_replayed <- stats.st_replayed + 1;
               (match remap_drops with
               | Some n -> stats.st_dropped_entries <- stats.st_dropped_entries + n

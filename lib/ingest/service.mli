@@ -83,6 +83,8 @@ type stats = {
   mutable st_remapped : int;
   mutable st_dropped_entries : int;
   mutable st_quarantined : int;
+      (** rejected deltas (submitted or spooled), plus each database
+          or WAL head that {!open_} moved to the quarantine directory *)
   mutable st_compactions : int;
   mutable st_replayed : int;  (** WAL records re-applied by recovery *)
 }

@@ -86,23 +86,24 @@ let flush_out t =
   flush oc;
   if Env.fsync_enabled () then Unix.fsync (Unix.descr_of_out_channel oc)
 
+type line = string
+
 let record_line delta =
   let prefix = "d " ^ B64.encode (Delta.encode delta) in
-  prefix ^ " " ^ Sectfile.checksum_of [ prefix ]
+  String.concat "" [ prefix; " "; Sectfile.checksum_of [ prefix ]; "\n" ]
 
-let append t delta =
+let append t line =
   let oc = channel t in
-  let line = record_line delta ^ "\n" in
   Sectfile.crash_point "wal.append.before";
   (* The torn point flushes a half-written record: exactly what a kill
      between two write(2) calls leaves on disk. *)
   let half = String.length line / 2 in
-  output_string oc (String.sub line 0 half);
+  output_substring oc line 0 half;
   (try Sectfile.crash_point "wal.append.torn"
    with e ->
      flush oc;
      raise e);
-  output_string oc (String.sub line half (String.length line - half));
+  output_substring oc line half (String.length line - half);
   flush_out t;
   Sectfile.crash_point "wal.append.after"
 

@@ -44,7 +44,15 @@ val attach :
     already-durable records stay on disk until the next compaction
     resets the log. *)
 
-val append : t -> Delta.t -> unit
+type line
+(** One encoded record, newline included. *)
+
+val record_line : Delta.t -> line
+(** The record {!append} writes for a delta: its payload in base64 and
+    a checksum over both.  Pure, so a submitter builds it before taking
+    any lock. *)
+
+val append : t -> line -> unit
 (** Append one record, flush, and fsync when enabled — on return the
     delta is durable and may be acknowledged.  Crash labels
     [wal.append.before], [wal.append.torn] (a half-written record is on

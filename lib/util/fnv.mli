@@ -9,6 +9,10 @@
 val seed : int64
 (** The FNV-1a offset basis. *)
 
+val prime : int64
+(** The FNV-1a multiplier: one byte [b] folds as
+    [Int64.mul (Int64.logxor h (Int64.of_int b)) prime]. *)
+
 val fold : int64 -> string -> int64
 (** Mix a string into a running hash (byte by byte). *)
 

@@ -18,14 +18,18 @@ let add buf v =
 let zigzag n = (n lsl 1) lxor (n asr (Sys.int_size - 1))
 let unzigzag u = (u lsr 1) lxor (-(u land 1))
 
+(* A loop over local refs rather than a local recursive function, which
+   would allocate a closure over [payload] and [pos] on every call. *)
 let read payload pos =
   let n = String.length payload in
-  let rec go shift acc count =
+  let acc = ref 0 and shift = ref 0 and more = ref true in
+  while !more do
     if !pos >= n then Sectfile.failf 0 "varint runs past the payload";
-    if count >= 9 then Sectfile.failf 0 "varint too long";
-    let b = Char.code payload.[!pos] in
+    if !shift >= 63 then Sectfile.failf 0 "varint too long";
+    let b = Char.code (String.unsafe_get payload !pos) in
     incr pos;
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 <> 0 then go (shift + 7) acc (count + 1) else acc
-  in
-  go 0 0 0
+    acc := !acc lor ((b land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    more := b land 0x80 <> 0
+  done;
+  !acc

@@ -8,6 +8,8 @@
 
 module Sectfile = Fisher92_util.Sectfile
 module Rng = Fisher92_util.Rng
+module Fnv = Fisher92_util.Fnv
+module Varint = Fisher92_util.Varint
 module Delta = Fisher92_ingest.Delta
 module Wal = Fisher92_ingest.Wal
 module Merge = Fisher92_ingest.Merge
@@ -112,6 +114,14 @@ let test_delta_validation () =
   expect_invalid "negative site" (fun () -> mk ~nonce:0 [ (-1, 1, 0) ]);
   expect_invalid "taken > enc" (fun () -> mk ~nonce:0 [ (0, 1, 2) ]);
   expect_invalid "duplicate site" (fun () -> mk ~nonce:0 [ (0, 1, 0); (0, 2, 1) ]);
+  (* entries sort as whole triples, as [compare] orders them: (5, -1, 0)
+     comes first and fails on its counts; a sort by site alone would
+     keep the given order and report the repeated site instead *)
+  (match mk ~nonce:0 [ (5, 3, 1); (5, -1, 0) ] with
+  | (_ : Delta.t) -> Alcotest.fail "duplicate site: expected Invalid_argument"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "triple order decides the message"
+      "Delta: bad counts" msg);
   expect_invalid "newline label" (fun () ->
       mk ~label:"a\nb" ~nonce:0 [ (0, 1, 0) ]);
   expect_invalid "short keys" (fun () ->
@@ -142,6 +152,59 @@ let delta_gen : Delta.t Gen.t =
       ~nonce entries
   else mk ~nonce entries
 
+(* The id as it was first derived: FNV-1a over the program, fingerprint,
+   label and nonce, then one [Printf.sprintf "%d %d %d"] line per entry
+   in [compare] order, each string followed by a newline.  Every id a
+   client or a WAL already holds was made this way. *)
+let model_id ~program ~fingerprint ~label ~nonce entries =
+  let h = ref Fnv.seed in
+  let add s = h := Fnv.fold (Fnv.fold !h s) "\n" in
+  add program;
+  add fingerprint;
+  add label;
+  add (string_of_int nonce);
+  List.iter
+    (fun (s, e, t) -> add (Printf.sprintf "%d %d %d" s e t))
+    (List.sort compare entries);
+  Fnv.to_hex !h
+
+let prop_delta_id_stable =
+  let open Gen in
+  let count =
+    oneof
+      [ int_bound 1000; int_range (max_int - 3) max_int; int_range 0 max_int ]
+  in
+  let entry =
+    let* s = int_bound 999 in
+    let* e = count in
+    let+ t = oneof [ int_range 0 e; int_range (e - Int.min e 3) e ] in
+    (s, e, t)
+  in
+  let case =
+    let* entries = list_size (oneof [ return 0; int_bound 40 ]) entry in
+    let* entries =
+      shuffle_l
+        (List.sort_uniq (fun (a, _, _) (b, _, _) -> compare a b) entries)
+    in
+    let* nonce =
+      oneof [ int; int_range (-1000) 1000; oneofl [ min_int; max_int; -1 ] ]
+    in
+    let+ label = oneofl [ "run"; "ref"; "" ] in
+    (label, nonce, entries)
+  in
+  QCheck2.Test.make ~name:"id equals the sprintf derivation" ~count:500
+    ~print:(fun (label, nonce, entries) ->
+      Printf.sprintf "label %S, nonce %d, %d entries" label nonce
+        (List.length entries))
+    case
+    (fun (label, nonce, entries) ->
+      let d =
+        Delta.make ~program ~fingerprint:fp_current ~label ~n_sites:1000 ~nonce
+          entries
+      in
+      String.equal d.Delta.d_id
+        (model_id ~program ~fingerprint:fp_current ~label ~nonce entries))
+
 let prop_delta_codec_roundtrip =
   QCheck2.Test.make ~name:"delta binary+text round trip" ~count:200 delta_gen
     (fun d ->
@@ -170,7 +233,7 @@ let test_wal_roundtrip () =
     Wal.create ~dir ~program ~n_sites ~fingerprint:fp_current ~generation:3
   in
   let ds = List.init 5 (fun i -> mk ~nonce:i [ (i, i + 1, i) ]) in
-  List.iter (Wal.append w) ds;
+  List.iter (fun d -> Wal.append w (Wal.record_line d)) ds;
   Wal.close w;
   match Wal.replay ~dir with
   | None -> Alcotest.fail "log vanished"
@@ -189,7 +252,9 @@ let test_wal_torn_tail () =
   let w =
     Wal.create ~dir ~program ~n_sites ~fingerprint:fp_current ~generation:0
   in
-  List.iter (fun i -> Wal.append w (mk ~nonce:i [ (0, 1, 0) ])) [ 0; 1; 2 ];
+  List.iter
+    (fun i -> Wal.append w (Wal.record_line (mk ~nonce:i [ (0, 1, 0) ])))
+    [ 0; 1; 2 ];
   Wal.close w;
   (* tear the last record mid-line, as a kill between writes would *)
   let path = Wal.path ~dir in
@@ -208,9 +273,9 @@ let test_wal_torn_tail () =
 
 let test_merge_shards_and_saturation () =
   let m = Merge.create ~shards:3 ~n_sites () in
-  Merge.merge m ~label:"a" [ (0, 5, 2); (4, 7, 7) ];
-  Merge.merge m ~label:"a" [ (0, max_int - 2, max_int - 2) ];
-  Merge.merge m ~label:"b" [ (1, 1, 0) ];
+  Merge.merge m ~label:"a" [| 0; 4 |] [| 5; 7 |] [| 2; 7 |];
+  Merge.merge m ~label:"a" [| 0 |] [| max_int - 2 |] [| max_int - 2 |];
+  Merge.merge m ~label:"b" [| 1 |] [| 1 |] [| 0 |];
   match Merge.snapshot m with
   | [ ("a", enc_a, tk_a); ("b", enc_b, _) ] ->
     Alcotest.(check int) "saturated" max_int enc_a.(0);
@@ -287,6 +352,8 @@ let test_service_foreign_db () =
   Out_channel.with_open_bin (Service.db_path ~dir) (fun oc ->
       output_string oc v1);
   let svc = Service.open_ (cfg dir) in
+  Alcotest.(check int) "the move is counted" 1
+    (Service.stats svc).Service.st_quarantined;
   Alcotest.(check (list string)) "one note, naming the move"
     [
       "database unreadable (line 1: unsupported format (expected \
@@ -419,6 +486,55 @@ let test_service_concurrent_compaction () =
     (domains * per)
     (Array.fold_left ( + ) 0 enc)
 
+(* Four domains race the same 256 deltas in the same order through one
+   service: the id check, the append and the insert share one critical
+   section, so each id is acked exactly once, logged exactly once, and
+   counted exactly once.  The log fsyncs here, as a deployed service's
+   does, so each append is long enough for the other domains to arrive
+   while it runs: an id check outside the lock then lets a second
+   submitter log the same id. *)
+let test_service_concurrent_duplicates () =
+  with_dir @@ fun dir ->
+  Unix.putenv "FISHER92_NO_FSYNC" "0";
+  Fun.protect ~finally:(fun () -> Unix.putenv "FISHER92_NO_FSYNC" "1")
+  @@ fun () ->
+  let svc = Service.open_ (cfg dir) in
+  let deltas =
+    Array.init 256 (fun nonce ->
+        mk ~nonce [ (nonce mod n_sites, 1 + nonce, nonce mod 3) ])
+  in
+  let domains = 4 in
+  let outcomes =
+    List.init domains (fun _ ->
+        Domain.spawn (fun () -> Array.map (Service.submit svc) deltas))
+    |> List.map Domain.join
+  in
+  Array.iteri
+    (fun i d ->
+      let count o =
+        List.length (List.filter (fun os -> os.(i) = o) outcomes)
+      in
+      if count Service.Acked <> 1 || count Service.Duplicate <> domains - 1
+      then
+        Alcotest.failf "delta %s: %d acked, %d duplicate" d.Delta.d_id
+          (count Service.Acked) (count Service.Duplicate))
+    deltas;
+  Service.close ~fold:false svc;
+  (match Wal.replay ~dir with
+  | None -> Alcotest.fail "log vanished"
+  | Some r ->
+    Alcotest.(check (list string))
+      "the log holds each id once"
+      (List.sort compare
+         (Array.to_list (Array.map (fun d -> d.Delta.d_id) deltas)))
+      (List.sort compare (List.map (fun d -> d.Delta.d_id) r.Wal.rp_deltas)));
+  let successor = Service.open_ (cfg dir) in
+  Service.compact successor;
+  Service.close successor;
+  check_counters "the successor holds each acked delta once"
+    (expected (Array.to_list (Array.map Delta.entries deltas)))
+    (accumulated_of_db (Db.load_file (Service.db_path ~dir)))
+
 let test_client_backoff () =
   (* transient failures retry with growing, jittered, capped delays;
      the budget's end surfaces the original exception *)
@@ -461,6 +577,64 @@ let test_client_backoff () =
   | _ -> Alcotest.fail "expected Failure"
   | exception Failure _ -> Alcotest.(check int) "no retry" 1 !ran
   | exception e -> raise e)
+
+(* ---- allocation budget ---- *)
+
+(* Minor words, exact per domain in OCaml 5, allocated by [f ()] run
+   [reps] times, per run. *)
+let words_per_run reps f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int reps
+
+(* A delta shaped like one the ingest benchmark sends: 32 seeded
+   entries, the sites spread over a compress-sized build.  Its make
+   measures 236 words and its 208-byte payload decodes in 124, almost
+   all of it the entry arrays and the strings; with a [Printf.sprintf]
+   per entry and a per-call varint closure they took 3,585 and 867.
+   Each bound sits a little above its measurement. *)
+let budget_entries () =
+  let rng = Rng.create 32 in
+  List.init 32 (fun i ->
+      let e = 1 + Rng.int rng 1000 in
+      ((i * 97) mod 1000, e, Rng.int rng (e + 1)))
+  |> List.sort compare
+
+let budget_delta entries =
+  Delta.make ~program:"compress" ~fingerprint:"0123456789abcdef"
+    ~label:"client0" ~n_sites:1000 ~nonce:((1 lsl 40) lor 7) entries
+
+let test_varint_read_allocation () =
+  let buf = Buffer.create 4096 in
+  let values = [| 0; 1; 127; 128; 300; 1 lsl 20; 1 lsl 40; max_int |] in
+  for i = 0 to 999 do
+    Varint.add buf values.(i mod Array.length values)
+  done;
+  let payload = Buffer.contents buf in
+  let pos = ref 0 in
+  let per_read =
+    words_per_run 1000 (fun () ->
+        if !pos >= String.length payload then pos := 0;
+        Varint.read payload pos)
+  in
+  if per_read >= 0.01 then
+    Alcotest.failf "Varint.read: %.4f words per read (want < 0.01)" per_read
+
+let test_delta_make_allocation () =
+  let entries = budget_entries () in
+  let per_make = words_per_run 200 (fun () -> budget_delta entries) in
+  if per_make > 256.0 then
+    Alcotest.failf "Delta.make: %.0f words per 32-entry delta (want <= 256)"
+      per_make
+
+let test_delta_decode_allocation () =
+  let payload = Delta.encode (budget_delta (budget_entries ())) in
+  let per_decode = words_per_run 200 (fun () -> Delta.decode payload) in
+  if per_decode > 136.0 then
+    Alcotest.failf "Delta.decode: %.0f words per %d-byte payload (want <= 136)"
+      per_decode (String.length payload)
 
 (* ---- the fault-injection gate ---- *)
 
@@ -666,6 +840,7 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_delta_roundtrip;
           Alcotest.test_case "validation" `Quick test_delta_validation;
+          q prop_delta_id_stable;
           q prop_delta_codec_roundtrip;
           q prop_delta_corruption_detected;
         ] );
@@ -695,7 +870,18 @@ let () =
             test_service_spool_drain;
           Alcotest.test_case "compaction during ingest" `Quick
             test_service_concurrent_compaction;
+          Alcotest.test_case "concurrent duplicates" `Quick
+            test_service_concurrent_duplicates;
           Alcotest.test_case "client backoff" `Quick test_client_backoff;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "Varint.read allocates nothing" `Quick
+            test_varint_read_allocation;
+          Alcotest.test_case "Delta.make words" `Quick
+            test_delta_make_allocation;
+          Alcotest.test_case "Delta.decode words" `Quick
+            test_delta_decode_allocation;
         ] );
       ( "faults",
         [
