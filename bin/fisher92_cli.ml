@@ -1047,7 +1047,10 @@ let synth_charz_cmd =
     let rows =
       List.map
         (fun (l : Fisher92.Study.loaded) ->
-          (l.workload.Workload.w_name, Charz.characterize l))
+          ( l.workload.Workload.w_name,
+            Charz.characterize
+              ~opinions:(Fisher92_predict.Heuristic.ball_larus_opinions l.ir)
+              l ))
         (Fisher92.Study.items study)
     in
     print_string (Table.text Charz.columns rows)

@@ -83,32 +83,37 @@ let trips rel ~step ~i0 ~bound =
       | _ -> 0
   end
 
-let reachable_within members succs ~src ~dst ~avoiding =
-  let seen = Hashtbl.create 16 in
-  let rec go u =
+(* Does a path from [src] reach [dst] through blocks that satisfy
+   [members] (bar [dst]) and never pass [avoiding]? *)
+let reachable_within (cfg : Cfg.t) members ~src ~dst ~avoiding =
+  let seen = Array.make (Cfg.n_blocks cfg) false in
+  let rec go (u : int) =
     if u = dst then true
-    else if Hashtbl.mem seen u then false
+    else if seen.(u) then false
     else begin
-      Hashtbl.replace seen u ();
+      seen.(u) <- true;
       u <> avoiding && members u
-      && List.exists go (succs u)
+      && List.exists go cfg.Cfg.blocks.(u).b_succs
     end
   in
   if src = avoiding && src <> dst then false else go src
 
-let acyclic members succs nodes =
-  let color = Hashtbl.create 16 in
-  (* 1 = on stack, 2 = done *)
-  let rec visit u =
-    match Hashtbl.find_opt color u with
-    | Some 1 -> false
-    | Some _ -> true
-    | None ->
-      Hashtbl.replace color u 1;
+(* No cycle among the [members] reachable from [nodes]. *)
+let acyclic (cfg : Cfg.t) members nodes =
+  (* 0 = unvisited, 1 = on stack, 2 = done *)
+  let color = Array.make (Cfg.n_blocks cfg) 0 in
+  let rec visit (u : int) =
+    match color.(u) with
+    | 1 -> false
+    | 2 -> true
+    | _ ->
+      color.(u) <- 1;
       let ok =
-        List.for_all (fun v -> (not (members v)) || visit v) (succs u)
+        List.for_all
+          (fun v -> (not (members v)) || visit v)
+          cfg.Cfg.blocks.(u).b_succs
       in
-      Hashtbl.replace color u 2;
+      color.(u) <- 2;
       ok
   in
   List.for_all visit nodes
@@ -116,13 +121,16 @@ let acyclic members succs nodes =
 let loop_bound (f : P.func) (cfg : Cfg.t) (loops : Loops.t) rng (b : Cfg.block)
     ~target =
   let h = b.b_id in
-  match
-    Array.to_list loops.Loops.loops
-    |> List.find_opt (fun (l : Loops.loop) -> l.l_header = h)
-  with
+  let rec header_loop li =
+    if li >= Loops.n_loops loops then None
+    else if loops.Loops.loops.(li).l_header = h then Some li
+    else header_loop (li + 1)
+  in
+  match header_loop 0 with
   | None -> None
-  | Some l ->
-    let in_body bid = List.mem bid l.l_body in
+  | Some li ->
+    let l = loops.Loops.loops.(li) in
+    let in_body bid = Loops.in_loop loops li bid in
     let succs bid = cfg.Cfg.blocks.(bid).b_succs in
     let preds bid = cfg.Cfg.blocks.(bid).b_preds in
     let tgt_b = cfg.Cfg.block_of_pc.(target) in
@@ -149,7 +157,7 @@ let loop_bound (f : P.func) (cfg : Cfg.t) (loops : Loops.t) rng (b : Cfg.block)
         in
         if
           (not single_exit) || (not header_only_entry) || stay_b = h
-          || not (acyclic in_s succs body_minus_h)
+          || not (acyclic cfg in_s body_minus_h)
         then None
         else
           match Range.cond_cmp f b with
@@ -190,7 +198,7 @@ let loop_bound (f : P.func) (cfg : Cfg.t) (loops : Loops.t) rng (b : Cfg.block)
                 (fun (tail, _) ->
                   ivb = stay_b || ivb = tail
                   || not
-                       (reachable_within in_s succs ~src:stay_b ~dst:tail
+                       (reachable_within cfg in_s ~src:stay_b ~dst:tail
                           ~avoiding:ivb))
                 l.l_back_edges
             in
@@ -258,10 +266,11 @@ let classify (p : P.t) =
   let n = P.n_sites p in
   let unknown detail = { sc_cls = Unknown; sc_source = Src_none; sc_detail = detail } in
   let classes = Array.make n (unknown "") in
-  let sccp = Sccp.analyze p in
-  Array.iter
-    (fun (f : P.func) ->
-      let cfg = Cfg.build f in
+  let cfgs = Array.map Cfg.build p.funcs in
+  let sccp = Sccp.analyze p cfgs in
+  Array.iteri
+    (fun fid (f : P.func) ->
+      let cfg = cfgs.(fid) in
       let dom = Dom.compute cfg in
       let loops = Loops.compute cfg dom in
       let rng = Range.analyze f cfg dom loops in
@@ -302,7 +311,7 @@ let classify (p : P.t) =
                         Printf.sprintf "condition range %s excludes 0"
                           (Range.to_string ci);
                     }
-                  else if Range.is_const ci = Some 0 then
+                  else if ci.Range.lo = 0 && ci.Range.hi = 0 then
                     {
                       sc_cls = Proved_not_taken;
                       sc_source = Src_range;

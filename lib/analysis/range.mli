@@ -53,7 +53,8 @@ val env_at : t -> pc:int -> interval array
 
 val edge_env : t -> int -> int -> interval array option
 (** [edge_env t u v]: the environment on CFG edge [u -> v] after branch
-    refinement; [None] when the edge is infeasible or never reached. *)
+    refinement; [None] when the edge is infeasible or never reached.
+    Each call re-runs [u] from its final entry environment. *)
 
 val cond_cmp :
   Fisher92_ir.Program.func ->

@@ -35,14 +35,13 @@ let meet a b =
    then float registers, as in {!Defuse.index}) to lattice values. *)
 let meet_env ~into src =
   let changed = ref false in
-  Array.iteri
-    (fun r v ->
-      let m = meet into.(r) v in
-      if not (value_eq m into.(r)) then begin
-        into.(r) <- m;
-        changed := true
-      end)
-    src;
+  for r = 0 to Array.length src - 1 do
+    let m = meet into.(r) src.(r) in
+    if not (value_eq m into.(r)) then begin
+      into.(r) <- m;
+      changed := true
+    end
+  done;
   !changed
 
 (* Mirrors Vm.ibin_eval minus the traps: a divisor of zero would stop
@@ -84,7 +83,19 @@ let funop_eval op a =
   | Fsin -> sin a
   | Fcos -> cos a
 
-let cmp_eval c a b =
+(* One compare per register file, each specialized by its operand
+   type: the float one keeps IEEE semantics (a NaN is unequal to
+   everything, itself included), as the VM's does. *)
+let icmp_eval c (a : int) b =
+  match c with
+  | I.Eq -> a = b
+  | I.Ne -> a <> b
+  | I.Lt -> a < b
+  | I.Le -> a <= b
+  | I.Gt -> a > b
+  | I.Ge -> a >= b
+
+let fcmp_eval c (a : float) b =
   match c with
   | I.Eq -> a = b
   | I.Ne -> a <> b
@@ -141,13 +152,13 @@ let transfer (f : P.func) env insn =
   | I.Icmp (c, d, a, b) ->
     seti d
       (match (geti a, geti b) with
-      | Ci x, Ci y -> bool_i (cmp_eval c x y)
+      | Ci x, Ci y -> bool_i (icmp_eval c x y)
       | Top, _ | _, Top -> Top
       | _ -> Bot)
   | I.Fcmp (c, d, a, b) ->
     seti d
       (match (getf a, getf b) with
-      | Cf x, Cf y -> bool_i (cmp_eval c x y)
+      | Cf x, Cf y -> bool_i (fcmp_eval c x y)
       | Top, _ | _, Top -> Top
       | _ -> Bot)
   | I.Itof (d, s) ->
@@ -252,13 +263,13 @@ let analyze_func (f : P.func) cfg =
   done;
   { fr_in; fr_exec }
 
-let analyze (p : P.t) =
+let analyze (p : P.t) cfgs =
   let n = P.n_sites p in
   let fates = Array.make n Unexecuted in
   let cond_const = Array.make n None in
-  Array.iter
-    (fun (f : P.func) ->
-      let cfg = Cfg.build f in
+  Array.iteri
+    (fun fid (f : P.func) ->
+      let cfg = cfgs.(fid) in
       let r = analyze_func f cfg in
       Array.iter
         (fun (b : Cfg.block) ->

@@ -30,4 +30,7 @@ type t = {
           at the branch, when there is one *)
 }
 
-val analyze : Fisher92_ir.Program.t -> t
+val analyze : Fisher92_ir.Program.t -> Cfg.t array -> t
+(** [analyze p cfgs], where [cfgs.(i)] is the CFG of [p.funcs.(i)]:
+    {!Brclass.classify} hands over the CFGs it builds for the other
+    analyses. *)

@@ -2,7 +2,6 @@ open Fisher92_util
 module Profile = Fisher92_profile.Profile
 module Dynamic = Fisher92_predict.Dynamic
 module Vm = Fisher92_vm.Vm
-module Heuristic = Fisher92_predict.Heuristic
 module Sitestats = Fisher92_metrics.Sitestats
 module Measure = Fisher92_metrics.Measure
 module Table = Fisher92_report.Table
@@ -128,7 +127,7 @@ let of_counts ~profile ~site_correct ~site_incorrect ~opinions =
 
 let gshare_scheme = Dynamic.Gshare { history_bits = 12 }
 
-let characterize (loaded : Fisher92.Study.loaded) =
+let characterize ~opinions (loaded : Fisher92.Study.loaded) =
   let profile =
     Profile.sum (List.map (fun r -> r.Measure.profile) loaded.Fisher92.Study.runs)
   in
@@ -151,7 +150,6 @@ let characterize (loaded : Fisher92.Study.loaded) =
       in
       (Dynamic.site_correct sim, Dynamic.site_incorrect sim)
   in
-  let opinions = Heuristic.ball_larus_opinions loaded.Fisher92.Study.ir in
   of_counts ~profile ~site_correct ~site_incorrect ~opinions
 
 let f3 x = Table.Fmt (Printf.sprintf "%.3f", x)

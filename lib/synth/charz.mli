@@ -70,12 +70,13 @@ val gshare_scheme : Fisher92_predict.Dynamic.scheme
     the same configuration the [predictability] and [h2p] experiments
     use. *)
 
-val characterize : Fisher92.Study.loaded -> t
+val characterize : opinions:bool option array -> Fisher92.Study.loaded -> t
 (** Characterize a loaded workload: profile summed over all its runs,
     gshare simulated as the VM's [on_branch] hook on one execution of
     the first dataset (no trace is captured or stored; the tallies equal
-    a replay of that dataset's trace bit for bit), opinions from the
-    measured build. *)
+    a replay of that dataset's trace bit for bit).  [opinions] is
+    {!Fisher92_predict.Heuristic.ball_larus_opinions} of the measured
+    build, which the sweep also turns into its heuristic prediction. *)
 
 val columns : (string * t) Fisher92_report.Table.column list
 (** The [synth charz] table: one line per named characterization, text

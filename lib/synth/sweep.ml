@@ -53,8 +53,8 @@ let grid ?(variants = 5) ~seed () =
         biases)
     Gen.all_templates
 
-let workloads points =
-  List.map (fun pt -> Gen.generate ~name:pt.pt_name pt.pt_params ~seed:pt.pt_seed) points
+let workload pt = Gen.generate ~name:pt.pt_name pt.pt_params ~seed:pt.pt_seed
+let workloads points = List.map workload points
 
 type item = {
   it_point : point;
@@ -70,7 +70,8 @@ type item = {
    dataset predicted from the union of every other dataset's profile,
    the strongest profile a deployment could actually have had. *)
 let measure pt (loaded : Study.loaded) =
-  let charz = Charz.characterize loaded in
+  let opinions = Heuristic.ball_larus_opinions loaded.Study.ir in
+  let charz = Charz.characterize ~opinions loaded in
   let profiles = List.map (fun r -> r.Measure.profile) loaded.Study.runs in
   let total =
     List.fold_left (fun a p -> a + Profile.total_branches p) 0 profiles
@@ -90,7 +91,8 @@ let measure pt (loaded : Study.loaded) =
       profiles
     |> List.fold_left ( + ) 0
   in
-  let heur = Heuristic.ball_larus loaded.Study.ir in
+  (* [Heuristic.ball_larus], from the opinions already in hand *)
+  let heur = Array.map (Option.value ~default:false) opinions in
   let heur_miss =
     List.fold_left (fun a p -> a + Profile.mispredicts ~prediction:heur p) 0 profiles
   in
@@ -104,18 +106,19 @@ let measure pt (loaded : Study.loaded) =
     it_proved = pt_ + pnt + lb;
   }
 
+(* One task per grid point, on one domain from generation to
+   measurement: the pool fans out once and merges by index, and the
+   point's study load runs inline ([~domains:1] spawns nothing). *)
 let run ?domains ?cache ?items () =
   let points = match items with Some p -> p | None -> grid ~seed:default_seed () in
-  let ws = workloads points in
-  let study = Study.load ~workloads:ws ?domains ?cache () in
-  let loadeds = Study.items study in
-  if List.length loadeds <> List.length points then
-    invalid_arg "Sweep.run: study did not load every grid point";
-  (* second fan-out: characterization + roster per point, merged by
-     index like the study itself *)
   Pool.map ?domains
-    (fun (pt, loaded) -> measure pt loaded)
-    (List.combine points loadeds)
+    (fun pt ->
+      match
+        Study.items (Study.load ~workloads:[ workload pt ] ~domains:1 ?cache ())
+      with
+      | [ loaded ] -> measure pt loaded
+      | _ -> invalid_arg "Sweep.run: study did not load the grid point")
+    points
 
 type class_row = {
   cr_class : Charz.cls;

@@ -4,15 +4,15 @@
     one, and merge per-class results deterministically.
 
     The shape follows the sharded permutation-sweep pattern named in the
-    roadmap: the grid is fixed up front, each point is an independent
-    task fanned over {!Fisher92_util.Pool} (first the study's own
-    compile/execute fan-out, then the per-workload
-    characterize-and-predict fan-out), and results are merged by task
-    index — so the output is byte-identical for any worker count and any
-    cache state, and repeated runs with the same seed grid reproduce
-    byte-for-byte.  Compiled runs persist through the study cache,
-    making warm reruns cheap; characterization runs its gshare inline
-    on the VM, so a sweep captures and stores no branch traces.
+    roadmap: the grid is fixed up front, each point is one independent
+    task fanned over {!Fisher92_util.Pool} (generate, study-load on the
+    task's own domain, characterize and predict), and results are
+    merged by task index — so the output is byte-identical for any
+    worker count and any cache state, and repeated runs with the same
+    seed grid reproduce byte-for-byte.  Compiled runs persist through
+    the study cache, making warm reruns cheap; characterization runs its
+    gshare inline on the VM, so a sweep captures and stores no branch
+    traces.
 
     Registered in the experiment registry as [synthpool] (the per-class
     table plus the failure tail); this module's initialization performs
@@ -49,12 +49,13 @@ type item = {
 
 val run :
   ?domains:int -> ?cache:bool -> ?items:point list -> unit -> item list
-(** Execute the sweep: generate, study-load (compile + run every
-    dataset), characterize and race the predictor roster, in grid
-    order.  [items] defaults to [grid ~seed:default_seed ()]; [domains]
-    and [cache] thread through to the study and the per-item fan-out.
-    Deterministic: the result is independent of [domains] and cache
-    state. *)
+(** Execute the sweep: one pool task per point generates it,
+    study-loads it (compile + run every dataset, [~domains:1]),
+    characterizes it and races the predictor roster; results come back
+    in grid order.  [items] defaults to [grid ~seed:default_seed ()];
+    [domains] sizes the one fan-out and [cache] threads through to each
+    point's study load.  Deterministic: the result is independent of
+    [domains] and cache state. *)
 
 (** Per-class aggregate over the sweep. *)
 type class_row = {

@@ -15,7 +15,18 @@ let fold h s =
 
 let hash s = fold seed s
 
-let to_hex h = Printf.sprintf "%016Lx" h
+(* Sixteen nibble lookups, most significant first: the [Printf]
+   rendering ["%016Lx"] without its format interpreter. *)
+let to_hex h =
+  let b = Bytes.create 16 in
+  for i = 0 to 15 do
+    let nib =
+      Int64.to_int
+        (Int64.logand (Int64.shift_right_logical h ((15 - i) * 4)) 15L)
+    in
+    Bytes.unsafe_set b i (String.unsafe_get "0123456789abcdef" nib)
+  done;
+  Bytes.unsafe_to_string b
 
 let hash_strings parts =
   to_hex

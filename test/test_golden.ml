@@ -34,7 +34,8 @@ let read_file path =
 
 (* goldens that pin something other than an experiment render, each
    asserted by its own suite *)
-let non_experiment = [ "zoo_streams" (* test_zoo.ml *) ]
+let non_experiment =
+  [ "zoo_streams" (* test_zoo.ml *); "proof_fixpoint" (* test_proof.ml *) ]
 
 (* Registry ids and golden files must be the same set, for each suffix:
    a registered experiment without a golden (or a stale orphan golden)

@@ -219,12 +219,12 @@ let test_charz_inline_replay () =
           (Trace.Reader.iter_runs
              (Trace.Reader.of_string (Trace.Writer.render trace)))
       in
+      let opinions = Heuristic.ball_larus_opinions l.ir in
       let replayed =
         Charz.of_counts ~profile ~site_correct:(Dynamic.site_correct sim)
-          ~site_incorrect:(Dynamic.site_incorrect sim)
-          ~opinions:(Heuristic.ball_larus_opinions l.ir)
+          ~site_incorrect:(Dynamic.site_incorrect sim) ~opinions
       in
-      let inline = Charz.characterize l in
+      let inline = Charz.characterize ~opinions l in
       let int what f =
         Alcotest.(check int) (name ^ " " ^ what) (f replayed) (f inline)
       in

@@ -448,6 +448,15 @@ let test_fnv_vectors () =
     (Fnv.hex "foobar")
     (Fnv.to_hex (Fnv.fold (Fnv.fold Fnv.seed "foo") "bar"))
 
+(* The nibble loop renders exactly what [Printf]'s ["%016Lx"] does:
+   every section checksum, delta id, WAL record checksum, study-cache
+   key and fingerprint goes through it. *)
+let prop_fnv_to_hex =
+  QCheck2.Test.make ~name:"to_hex = %016Lx" ~count:1000
+    QCheck2.Gen.(
+      oneof [ oneofl [ 0L; -1L; Int64.min_int; Int64.max_int ]; int64 ])
+    (fun h -> Fnv.to_hex h = Printf.sprintf "%016Lx" h)
+
 let () =
   Alcotest.run "util"
     [
@@ -484,7 +493,10 @@ let () =
           Alcotest.test_case "pearson" `Quick test_pearson;
         ] );
       ( "fnv",
-        [ Alcotest.test_case "FNV-1a-64 vectors" `Quick test_fnv_vectors ] );
+        [
+          Alcotest.test_case "FNV-1a-64 vectors" `Quick test_fnv_vectors;
+          QCheck_alcotest.to_alcotest prop_fnv_to_hex;
+        ] );
       ( "varint",
         [
           Alcotest.test_case "zigzag extremes pinned" `Quick
