@@ -1,7 +1,7 @@
 (* The parallel study runner: pool semantics, sequential/parallel
    byte-identity, the on-disk study cache (round-trip, poisoning,
-   warm-run identity) and the replay entries of the trace store (keys,
-   poisoning). *)
+   warm-run identity), the replay entries of the trace store (keys,
+   poisoning) and the pinned bytes of one entry of each kind. *)
 
 module Pool = Fisher92_util.Pool
 module Study = Fisher92.Study
@@ -471,8 +471,97 @@ let prop_poisoned_replay_entry =
       String.equal rendered text
       && ((not served) || String.equal corrupted original))
 
+(* ---------- store entries: golden/store_entries.txt ---------- *)
+
+(* The file name and bytes of one entry of each kind, written from
+   fixed inputs, so the golden moves neither with the workloads nor
+   with the predictors' update rules.  Regenerate (only on an intended
+   format change) with
+
+     dune exec test/test_parallel.exe -- capture-entries \
+       test/golden/store_entries.txt *)
+
+let fixed_fp = "0123456789abcdef"
+let fixed_dh = "fedcba9876543210"
+
+let fixed_run =
+  let profile = Profile.empty ~program:"prog" ~n_sites:4 in
+  Array.blit [| 40; 0; 75; 5 |] 0 profile.Profile.encountered 0 4;
+  Array.blit [| 10; 0; 75; 0 |] 0 profile.Profile.taken 0 4;
+  {
+    Measure.program = "prog";
+    dataset = "data set";
+    counts =
+      {
+        Fisher92_metrics.Breaks.instructions = 1_000;
+        cond_branches = 120;
+        unavoidable = 7;
+        direct_call_ret = 30;
+        jumps = 12;
+      };
+    profile;
+  }
+
+let fixed_events =
+  List.concat (List.init 5 (fun i -> [ (0, true); (2, i < 4); (3, false) ]))
+  @ [ (1, true); (0, false) ]
+
+let fixed_tallies =
+  [
+    ([| 30; 0; 70; 5 |], [| 10; 0; 5; 0 |]);
+    ([| 38; 0; 74; 4 |], [| 2; 0; 1; 1 |]);
+  ]
+
+let write_fixed_entries () =
+  Cache.store ~fingerprint:fixed_fp ~dshash:fixed_dh fixed_run;
+  let w =
+    Trace.Writer.create ~program:"prog" ~dataset:"data set"
+      ~fingerprint:fixed_fp ~dshash:fixed_dh ~n_sites:4
+  in
+  List.iter (fun (s, t) -> Trace.Writer.feed w s t) fixed_events;
+  ignore (Trace.Store.save w : string);
+  Trace.Store.save_replay ~program:"prog" ~dataset:"data set"
+    ~fingerprint:fixed_fp ~dshash:fixed_dh ~n_sites:4
+    ~key:[ "rules a"; "cold 2-bit" ] fixed_tallies
+
+(* Both stores in one fresh directory for [f]'s duration. *)
+let with_one_store_dir f =
+  let d = private_dir "f92store" in
+  let point cache traces =
+    Unix.putenv "FISHER92_CACHE_DIR" cache;
+    Unix.putenv "FISHER92_TRACE_DIR" traces
+  in
+  point d d;
+  Fun.protect
+    ~finally:(fun () ->
+      point cache_dir trace_dir;
+      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+      Sys.rmdir d)
+    (fun () -> f d)
+
+let sorted_files dir =
+  List.sort String.compare (Array.to_list (Sys.readdir dir))
+
+let render_entries () =
+  with_one_store_dir (fun dir ->
+      write_fixed_entries ();
+      String.concat ""
+        (List.map
+           (fun f ->
+             let text = read_file (Filename.concat dir f) in
+             Printf.sprintf "== %s %d\n%s" f (String.length text) text)
+           (sorted_files dir)))
+
+let test_entries_golden () =
+  Alcotest.(check string) "entries match the golden"
+    (read_file (Filename.concat "golden" "store_entries.txt"))
+    (render_entries ())
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
+  match Sys.argv with
+  | [| _; "capture-entries"; path |] -> write_file path (render_entries ())
+  | _ ->
   Alcotest.run "parallel"
     [
       ( "pool",
@@ -515,4 +604,9 @@ let () =
         ] );
       ( "poisoning",
         q [ prop_poisoned_entry_never_trusted; prop_poisoned_replay_entry ] );
+      ( "store",
+        [
+          Alcotest.test_case "entries match the golden" `Quick
+            test_entries_golden;
+        ] );
     ]
