@@ -433,6 +433,7 @@ let db_cmd =
 
 let trace_cmd =
   let module Trace = Fisher92_trace.Trace in
+  let module Store = Fisher92_util.Store in
   let module Tracing = Fisher92.Tracing in
   let module Dynamic = Fisher92_predict.Dynamic in
   let resolve prog dataset =
@@ -467,7 +468,8 @@ let trace_cmd =
     let run prog dataset output =
       let w, ir, d = resolve prog dataset in
       let wr = Tracing.record ~ir ~program:w.w_name d in
-      let text = Trace.Store.save wr in
+      let text = Trace.Writer.render wr in
+      Store.put Trace.kind (Trace.Writer.key wr) text;
       (match output with
       | None -> ()
       | Some path ->
@@ -481,8 +483,8 @@ let trace_cmd =
         (8.0 *. float_of_int (Trace.Reader.payload_bytes r)
         /. float_of_int events)
         (String.length text);
-      if Trace.Store.enabled () then
-        Printf.printf "  stored in %s\n" (Trace.Store.dir ())
+      if Trace.kind.enabled () then
+        Printf.printf "  stored in %s\n" (Trace.kind.dir ())
     in
     let output =
       Arg.(value & opt (some string) None & info [ "o"; "output" ]

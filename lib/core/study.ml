@@ -5,6 +5,7 @@ module Vm = Fisher92_vm.Vm
 module Measure = Fisher92_metrics.Measure
 module Pool = Fisher92_util.Pool
 module Fingerprint = Fisher92_analysis.Fingerprint
+module Store = Fisher92_util.Store
 
 type loaded = {
   workload : Workload.t;
@@ -45,32 +46,35 @@ let now () = Unix.gettimeofday ()
 let measure ?(cache = true) ?fingerprint ?dshash ~program ir
     (d : Workload.dataset) =
   let key =
-    if cache && Study_cache.enabled () then
-      let fingerprint =
-        match fingerprint with
-        | Some fp -> fp
-        | None -> Fingerprint.content_hash ir
-      in
-      let dshash =
-        match dshash with Some h -> h | None -> Study_cache.dataset_hash d
-      in
-      Some (fingerprint, dshash)
+    if cache && Study_cache.kind.enabled () then
+      Some
+        {
+          Store.program;
+          dataset = d.ds_name;
+          fingerprint =
+            (match fingerprint with
+            | Some fp -> fp
+            | None -> Fingerprint.content_hash ir);
+          dshash =
+            (match dshash with
+            | Some h -> h
+            | None -> Study_cache.dataset_hash d);
+          n_sites = Fisher92_ir.Program.n_sites ir;
+          extra = [];
+        }
     else None
   in
-  let cached =
-    Option.bind key (fun (fingerprint, dshash) ->
-        Study_cache.lookup ~fingerprint ~dshash
-          ~n_sites:(Fisher92_ir.Program.n_sites ir)
-          ~program d)
-  in
-  match cached with
+  match
+    Option.bind key (fun key ->
+        Store.find Study_cache.kind key Study_cache.read)
+  with
   | Some run -> (run, true)
   | None ->
     let run =
       Measure.of_result ~program ~dataset:d.ds_name (execute ir d ())
     in
     Option.iter
-      (fun (fingerprint, dshash) -> Study_cache.store ~fingerprint ~dshash run)
+      (fun key -> Store.put Study_cache.kind key (Study_cache.render key run))
       key;
     (run, false)
 
@@ -88,7 +92,8 @@ let load_timed ?workloads ?domains ?cache ?progress () =
     match workloads with Some ws -> ws | None -> Registry.all ()
   in
   let use_cache =
-    (match cache with Some b -> b | None -> true) && Study_cache.enabled ()
+    (match cache with Some b -> b | None -> true)
+    && Study_cache.kind.enabled ()
   in
   let emit =
     match progress with

@@ -5,6 +5,8 @@ module Workload = Fisher92_workloads.Workload
 module Vm = Fisher92_vm.Vm
 module Pool = Fisher92_util.Pool
 module Fingerprint = Fisher92_analysis.Fingerprint
+module Sectfile = Fisher92_util.Sectfile
+module Store = Fisher92_util.Store
 
 type obtained = { reader : Trace.Reader.t; from_store : bool }
 
@@ -24,30 +26,29 @@ let record ?fingerprint ?dshash ~ir ~program (d : Workload.dataset) =
   let (_ : Vm.result) = Study.execute ir d ~config () in
   w
 
-let obtain ?(store = true) ?fingerprint ?dshash ~ir ~program
-    (d : Workload.dataset) =
-  let use_store = store && Trace.Store.enabled () in
-  let fingerprint =
-    or_hash fingerprint (fun () -> Fingerprint.content_hash ir)
+let obtain ?fingerprint ?dshash ~ir ~program (d : Workload.dataset) =
+  let key =
+    {
+      Store.program;
+      dataset = d.ds_name;
+      fingerprint = or_hash fingerprint (fun () -> Fingerprint.content_hash ir);
+      dshash = or_hash dshash (fun () -> Study_cache.dataset_hash d);
+      n_sites = Fisher92_ir.Program.n_sites ir;
+      extra = [];
+    }
   in
-  let dshash = or_hash dshash (fun () -> Study_cache.dataset_hash d) in
-  let stored =
-    if use_store then
-      Trace.Store.load ~program ~dataset:d.ds_name ~fingerprint ~dshash
-        ~n_sites:(Fisher92_ir.Program.n_sites ir)
-    else None
-  in
-  match stored with
+  match Store.find Trace.kind key Trace.Reader.read with
   | Some reader -> { reader; from_store = true }
   | None ->
-    let w = record ~fingerprint ~dshash ~ir ~program d in
+    let w =
+      record ~fingerprint:key.fingerprint ~dshash:key.dshash ~ir ~program d
+    in
     (* Round-tripping through the codec (rather than keeping the event
        list) means the store-hit and store-miss paths replay the exact
        same decoder output.  The one rendering is also what the store
        writes. *)
-    let text =
-      if use_store then Trace.Store.save w else Trace.Writer.render w
-    in
+    let text = Trace.Writer.render w in
+    Store.put Trace.kind key text;
     { reader = Trace.Reader.of_string text; from_store = false }
 
 let warm_prediction (l : Study.loaded) =
@@ -99,28 +100,21 @@ let rec races_of schemes tallies =
    of [sims].  One decode feeds them all — each chunk fans out over the
    per-simulator table-update loops, so a simulator costs its updates
    only, not another pass over the codec. *)
-let replay_first ?store ?fingerprint ?dshash ~sims (l : Study.loaded) =
-  let dataset = List.hd l.workload.Workload.w_datasets in
+let replay_first (key : Store.key) ~sims (l : Study.loaded) =
   let ob =
-    obtain ?store ?fingerprint ?dshash ~ir:l.ir ~program:l.workload.w_name
-      dataset
+    obtain ~fingerprint:key.fingerprint ~dshash:key.dshash ~ir:l.ir
+      ~program:key.program
+      (List.hd l.workload.Workload.w_datasets)
   in
-  let n_sites = Fisher92_ir.Program.n_sites l.ir in
   let ts =
-    List.map (fun (scheme, warm) -> Dynamic.create ?warm scheme ~n_sites) sims
+    List.map
+      (fun (scheme, warm) -> Dynamic.create ?warm scheme ~n_sites:key.n_sites)
+      sims
   in
   let hooks = List.map Dynamic.hook_batch ts in
   Trace.Reader.iter_runs ob.reader (fun st tk rl pr n ->
       List.iter (fun h -> h st tk rl pr n) hooks);
-  (ob, List.map tally ts)
-
-let tournament_study ?domains ?store ~schemes study =
-  Pool.map ?domains
-    (fun l ->
-      let sims = race_sims ~warm:(warm_prediction l) schemes in
-      let ob, tallies = replay_first ?store ~sims l in
-      (l, ob, races_of schemes tallies))
-    (Study.items study)
+  List.map tally ts
 
 let zoo_schemes () =
   List.map
@@ -154,36 +148,83 @@ let replay_key ?rules ~warm schemes =
          ^ Dynamic.scheme_spec scheme)
        (shared_sims ~warm schemes)
 
+(* ---- replay entries ---- *)
+
+(* Beside the traces, under the same knobs.  Bump the version on any
+   change to the entry layout. *)
+let replay_kind =
+  {
+    Trace.kind with
+    Store.suffix = ".replay";
+    tmp_prefix = "replay";
+    version = "fisher92replay 1";
+  }
+
+(* One line per tally: [c0 i0 c1 i1 ...], a (correct, incorrect) pair
+   per site. *)
+let tally_line ~n_sites tl =
+  String.concat " "
+    (List.concat
+       (List.init n_sites (fun s ->
+            [
+              string_of_int tl.site_correct.(s);
+              string_of_int tl.site_incorrect.(s);
+            ])))
+
+let render_replay (key : Store.key) tallies =
+  Store.render replay_kind key ~meta:[]
+    [ ("tallies", List.map (tally_line ~n_sites:key.n_sites) tallies) ]
+
+(* Strict: exactly [2 * n_sites] fields, each a non-negative decimal
+   in canonical form (no sign, no leading zero, no underscore). *)
+let parse_tally ~n_sites line =
+  let fields =
+    if String.equal line "" then [||]
+    else Array.of_list (String.split_on_char ' ' line)
+  in
+  if Array.length fields <> 2 * n_sites then
+    Sectfile.failf 0 "tally has %d fields, want %d" (Array.length fields)
+      (2 * n_sites);
+  let count f =
+    match int_of_string_opt f with
+    | Some n when n >= 0 && String.equal (string_of_int n) f -> n
+    | Some _ | None -> Sectfile.failf 0 "bad tally %S" f
+  in
+  {
+    site_correct = Array.init n_sites (fun s -> count fields.(2 * s));
+    site_incorrect = Array.init n_sites (fun s -> count fields.((2 * s) + 1));
+  }
+
+let read_replay (key : Store.key) meta section =
+  if not (List.is_empty meta) then
+    Sectfile.failf 0 "replay entry has %d extra meta lines" (List.length meta);
+  List.map (parse_tally ~n_sites:key.n_sites) (section "tallies")
+
 (* One workload's shared tallies: read from its replay entry when the
    store holds one for this exact key, else replayed and saved back.
    The warm vector is computed either way — it is part of the key. *)
 let shared_of ~schemes (l : Study.loaded) =
   let d = List.hd l.workload.Workload.w_datasets in
-  let program = l.workload.w_name in
-  let n_sites = Fisher92_ir.Program.n_sites l.ir in
-  let fingerprint = Fingerprint.content_hash l.ir in
-  let dshash =
-    or_hash (Study.first_dshash l) (fun () -> Study_cache.dataset_hash d)
-  in
   let warm = warm_prediction l in
   let sims = shared_sims ~warm schemes in
-  let key = replay_key ~warm schemes in
-  let stored =
-    Trace.Store.load_replay ~program ~dataset:d.ds_name ~fingerprint ~dshash
-      ~n_sites ~key
+  let key =
+    {
+      Store.program = l.workload.w_name;
+      dataset = d.ds_name;
+      fingerprint = Fingerprint.content_hash l.ir;
+      dshash =
+        or_hash (Study.first_dshash l) (fun () -> Study_cache.dataset_hash d);
+      n_sites = Fisher92_ir.Program.n_sites l.ir;
+      extra = replay_key ~warm schemes;
+    }
   in
   let tallies, from_store =
-    match stored with
-    | Some pairs when List.length pairs = List.length sims ->
-      ( List.map
-          (fun (c, i) -> { site_correct = c; site_incorrect = i })
-          pairs,
-        true )
+    match Store.find replay_kind key read_replay with
+    | Some tallies when List.length tallies = List.length sims ->
+      (tallies, true)
     | Some _ | None ->
-      let _, tallies = replay_first ~fingerprint ~dshash ~sims l in
-      Trace.Store.save_replay ~program ~dataset:d.ds_name ~fingerprint
-        ~dshash ~n_sites ~key
-        (List.map (fun tl -> (tl.site_correct, tl.site_incorrect)) tallies);
+      let tallies = replay_first key ~sims l in
+      Store.put replay_kind key (render_replay key tallies);
       (tallies, false)
   in
   {

@@ -3,7 +3,7 @@
     [on_branch] hook, the load-or-record store round-trip, and the one
     shared, memoized replay per study ({!shared}) that the [dynamic],
     [dynsim], [predictability], [tournament] and [h2p] experiments all
-    read.
+    read, with the codec of its [.replay] store entries.
 
     Keys mirror {!Study_cache}: the workload name, the
     {!Fisher92_analysis.Fingerprint.content_hash} of the measured build,
@@ -32,7 +32,6 @@ val record :
     [on_branch].  Does not touch the store. *)
 
 val obtain :
-  ?store:bool ->
   ?fingerprint:string ->
   ?dshash:string ->
   ir:Fisher92_ir.Program.t ->
@@ -41,8 +40,8 @@ val obtain :
   obtained
 (** The trace for this (build, dataset) key: loaded from the store when
     present and intact, otherwise captured by running the VM (and saved
-    back, best-effort).  [~store:false] bypasses the store in both
-    directions.  The replayed stream is identical either way. *)
+    back, best-effort; [FISHER92_NO_TRACE] bypasses the store in both
+    directions).  The replayed stream is identical either way. *)
 
 val warm_prediction : Study.loaded -> Fisher92_predict.Prediction.t
 (** The profile-warming vector for a workload: an IFPROB database built
@@ -78,23 +77,6 @@ type raced = {
   rc_warm : tally;  (** simulated from profile-warmed state *)
 }
 
-val tournament_study :
-  ?domains:int ->
-  ?store:bool ->
-  schemes:Dynamic.scheme list ->
-  Study.t ->
-  (Study.loaded * obtained * raced list) list
-(** For every loaded workload: obtain the trace of its {e first}
-    dataset and replay it through every scheme twice over one decode —
-    once cold and once seeded with {!warm_prediction} — on the batched
-    run-level path ({!Trace.Reader.iter_runs} into
-    {!Dynamic.hook_batch}, bit-identical to streaming replay and several
-    times faster).  Fans the per-workload work over a
-    {!Fisher92_util.Pool}; results are merged by index, so the output
-    is deterministic and identical to a sequential run.  Unmemoized and
-    never served from replay entries: every call replays (and consults
-    the trace store) afresh. *)
-
 val zoo_schemes : unit -> Dynamic.scheme list
 (** Every scheme of {!Fisher92_predict.Predictor.zoo} (smith, 2-bit,
     2-level, gshare, bimode, tage), in registration order. *)
@@ -117,18 +99,39 @@ val replay_key :
     key is the other half): the update rules' digest ([rules], default
     {!Dynamic.rules_digest}), the FNV-1a digest of the warm vector, and
     every simulator's mode and full {!Dynamic.scheme_spec} in tally
-    order — cold 1-bit, then each of [schemes] cold and warm. *)
+    order — cold 1-bit, then each of [schemes] cold and warm.  It is
+    the [extra] part of the entry's {!Fisher92_util.Store.key}. *)
+
+val replay_kind : Fisher92_util.Store.kind
+(** [.replay] entries: the shared replay's tallies, beside the traces
+    under the same knobs. *)
+
+val render_replay : Fisher92_util.Store.key -> tally list -> string
+(** An entry's text: a [tallies] section with one line of [2 * n_sites]
+    canonical decimals per tally, a (correct, incorrect) pair per site.
+    Each tally must hold at least [n_sites] counts; only the first
+    [n_sites] are kept. *)
+
+val read_replay : tally list Fisher92_util.Store.reader
+(** The strict inverse of {!render_replay}, for
+    {!Fisher92_util.Store.find}. *)
 
 val shared : Study.t -> shared list
-(** One per loaded workload, in study order: the tallies of
-    {!tournament_study} over {!zoo_schemes} plus a cold 1-bit simulator
-    riding the same decode.  Each workload's tallies are read from its
-    [.replay] entry in the trace store ({!Trace.Store.load_replay}) when
-    one exists under the trace key plus {!replay_key}; otherwise the
-    trace is obtained and replayed, and the tallies saved back
-    (best-effort).  Either way the tallies are identical, so a rule
-    edit, a different roster or a different profile can never be served
-    stale numbers.  Memoized on the study's physical identity — every
+(** One per loaded workload, in study order: the first dataset's trace
+    ({!obtain}) replayed through every scheme of {!zoo_schemes} twice
+    over one decode — once cold and once seeded with {!warm_prediction}
+    — plus a cold 1-bit simulator riding the same decode, on the
+    batched run-level path ({!Trace.Reader.iter_runs} into
+    {!Dynamic.hook_batch}, bit-identical to streaming replay and
+    several times faster).  Each workload's tallies are read from its
+    [.replay] entry ({!replay_kind}) when one exists under the trace
+    key plus {!replay_key}; otherwise the trace is obtained and
+    replayed, and the tallies saved back (best-effort).  Either way the
+    tallies are identical, so a rule edit, a different roster or a
+    different profile can never be served stale numbers.  The
+    workloads fan out over a {!Fisher92_util.Pool} and merge by index,
+    so the result is identical to a sequential run.  Memoized on the
+    study's physical identity — every
     call on one [Study.t] returns the same replay, built once; a
     separately loaded study gets its own.  The memo holds one study at a
     time, through an ephemeron, so it keeps nothing alive past its

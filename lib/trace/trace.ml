@@ -1,10 +1,20 @@
 module Sectfile = Fisher92_util.Sectfile
+module Store = Fisher92_util.Store
 module B64 = Fisher92_util.B64
 module Env = Fisher92_util.Env
 
-(* Bump on any change to the codec or the section layout: old traces
-   then fail the header check and are recaptured, never misparsed. *)
-let format_version = 1
+(* Bump the version on any change to the codec or the section layout:
+   old traces then fail the header check and are recaptured, never
+   misparsed. *)
+let kind =
+  {
+    Store.suffix = ".trace";
+    tmp_prefix = "trace";
+    version = "fisher92trace 1";
+    dir = Env.trace_dir;
+    enabled = Env.trace_enabled;
+  }
+
 let b64_width = 76
 
 type meta = {
@@ -30,11 +40,8 @@ let read_varint = Fisher92_util.Varint.read
 
 module Writer = struct
   type t = {
-    program : string;
-    dataset : string;
-    fingerprint : string;
-    dshash : string;
-    n_sites : int;
+    key : Store.key;
+    n_sites : int;  (* key.n_sites, one load nearer [feed]'s range check *)
     sites_buf : Buffer.t;
     taken_buf : Buffer.t;
     next : int array;  (* successor model: next.(2*site + taken), -1 = cold *)
@@ -51,10 +58,7 @@ module Writer = struct
   let create ~program ~dataset ~fingerprint ~dshash ~n_sites =
     if n_sites < 0 then invalid_arg "Trace.Writer.create: negative n_sites";
     {
-      program;
-      dataset;
-      fingerprint;
-      dshash;
+      key = { program; dataset; fingerprint; dshash; n_sites; extra = [] };
       n_sites;
       sites_buf = Buffer.create 4096;
       taken_buf = Buffer.create 1024;
@@ -101,6 +105,7 @@ module Writer = struct
     t.events <- t.events + 1
 
   let events t = t.events
+  let key t = t.key
 
   (* Pending runs are flushed into copies, so rendering is pure. *)
   let payloads t =
@@ -117,48 +122,21 @@ module Writer = struct
 
   let render t =
     let sites_payload, taken_payload = payloads t in
-    let buf = Buffer.create (1024 + (String.length sites_payload * 2)) in
-    Buffer.add_string buf
-      (Printf.sprintf "fisher92trace %d\n" format_version);
-    Sectfile.add_section buf ~header:"meta"
-      ~body:
+    let b64 payload = B64.wrap ~width:b64_width (B64.encode payload) in
+    Store.render kind t.key
+      ~meta:
         [
-          "program " ^ Sectfile.sized t.program;
-          "dataset " ^ Sectfile.sized t.dataset;
-          "fingerprint " ^ t.fingerprint;
-          "dshash " ^ t.dshash;
-          Printf.sprintf "sites %d" t.n_sites;
           Printf.sprintf "events %d" t.events;
           Printf.sprintf "sitebytes %d" (String.length sites_payload);
           Printf.sprintf "takenbytes %d" (String.length taken_payload);
         ]
-      ~end_tag:"endmeta";
-    Sectfile.add_section buf ~header:"sites"
-      ~body:(B64.wrap ~width:b64_width (B64.encode sites_payload))
-      ~end_tag:"endsites";
-    Sectfile.add_section buf ~header:"taken"
-      ~body:(B64.wrap ~width:b64_width (B64.encode taken_payload))
-      ~end_tag:"endtaken";
-    Buffer.add_string buf "end\n";
-    Buffer.contents buf
+      [ ("sites", b64 sites_payload); ("taken", b64 taken_payload) ]
 end
 
 (* ---- replay ---- *)
 
 module Reader = struct
   type t = { meta : meta; sites_payload : string; taken_payload : string }
-
-  let field ~line prefix l =
-    if String.starts_with ~prefix:(prefix ^ " ") l then
-      String.sub l
-        (String.length prefix + 1)
-        (String.length l - String.length prefix - 1)
-    else Sectfile.failf line "expected %S field, got %S" prefix l
-
-  let int_field ~line prefix l =
-    match int_of_string_opt (field ~line prefix l) with
-    | Some n when n >= 0 -> n
-    | Some _ | None -> Sectfile.failf line "bad %S count in %S" prefix l
 
   let decode_payload ~what ~declared body =
     match B64.decode (String.concat "" body) with
@@ -169,44 +147,35 @@ module Reader = struct
           (String.length payload) declared;
       payload
 
-  let of_string text =
-    let c = Sectfile.cursor (Sectfile.split_lines text) in
-    Sectfile.expect c (Printf.sprintf "fisher92trace %d" format_version);
-    let meta, sitebytes, takenbytes =
-      match Sectfile.strict_section c ~header:"meta" ~end_tag:"endmeta" with
-      | [ prog; ds; fp; dh; sites; events; sb; tb ] ->
-        let line = 0 in
-        ( {
-            t_program =
-              Sectfile.parse_sized ~line ~what:"program"
-                (field ~line "program" prog);
-            t_dataset =
-              Sectfile.parse_sized ~line ~what:"dataset"
-                (field ~line "dataset" ds);
-            t_fingerprint = field ~line "fingerprint" fp;
-            t_dshash = field ~line "dshash" dh;
-            t_n_sites = int_field ~line "sites" sites;
-            t_events = int_field ~line "events" events;
-          },
-          int_field ~line "sitebytes" sb,
-          int_field ~line "takenbytes" tb )
-      | body -> corrupt "meta section has %d lines, want 8" (List.length body)
-    in
-    let sites_body =
-      Sectfile.strict_section c ~header:"sites" ~end_tag:"endsites"
-    in
-    let taken_body =
-      Sectfile.strict_section c ~header:"taken" ~end_tag:"endtaken"
-    in
-    Sectfile.expect c "end";
-    if not (Sectfile.at_end c) then corrupt "trailing lines after end";
-    {
-      meta;
-      sites_payload =
-        decode_payload ~what:"sites" ~declared:sitebytes sites_body;
-      taken_payload =
-        decode_payload ~what:"taken" ~declared:takenbytes taken_body;
-    }
+  let read (key : Store.key) meta section =
+    match (key.extra, meta) with
+    | [], [ events; sb; tb ] ->
+      let sites_body = section "sites" in
+      let taken_body = section "taken" in
+      {
+        meta =
+          {
+            t_program = key.program;
+            t_dataset = key.dataset;
+            t_fingerprint = key.fingerprint;
+            t_dshash = key.dshash;
+            t_n_sites = key.n_sites;
+            t_events = Store.int_field "events" events;
+          };
+        sites_payload =
+          decode_payload ~what:"sites"
+            ~declared:(Store.int_field "sitebytes" sb)
+            sites_body;
+        taken_payload =
+          decode_payload ~what:"taken"
+            ~declared:(Store.int_field "takenbytes" tb)
+            taken_body;
+      }
+    | extra, _ ->
+      corrupt "meta section has %d lines, want 8"
+        (5 + List.length extra + List.length meta)
+
+  let of_string text = Store.parse kind text read
 
   let meta t = t.meta
 
@@ -482,173 +451,4 @@ module Reader = struct
       if !tpos <> String.length t.taken_payload then
         corrupt "leftover bytes in the taken stream"
     end
-end
-
-(* ---- the on-disk store ---- *)
-
-module Store = struct
-  let enabled () = Env.trace_enabled ()
-  let dir () = Env.trace_dir ()
-
-  (* File names carry the whole key, so distinct builds and datasets
-     never collide; the program name prefix is purely for humans. *)
-  let path ~program ~fingerprint ~dshash =
-    Filename.concat (dir ())
-      (Printf.sprintf "%s.%s.%s.trace" program fingerprint dshash)
-
-  let load ~program ~dataset ~fingerprint ~dshash ~n_sites =
-    if not (enabled ()) then None
-    else
-      match Sectfile.read_file (path ~program ~fingerprint ~dshash) with
-      | exception Sys_error _ -> None
-      | exception End_of_file -> None
-      | text -> (
-        match Reader.of_string text with
-        | exception Sectfile.Bad _ -> None
-        | r ->
-          let m = Reader.meta r in
-          if
-            String.equal m.t_program program
-            && String.equal m.t_dataset dataset
-            && String.equal m.t_fingerprint fingerprint
-            && String.equal m.t_dshash dshash
-            && m.t_n_sites = n_sites
-          then Some r
-          else None)
-
-  let save (w : Writer.t) =
-    let text = Writer.render w in
-    if enabled () then begin
-      (* Best-effort: a read-only or vanished store directory must never
-         fail the caller, so every syscall error is swallowed here. *)
-      try
-        Sectfile.mkdir_p (dir ());
-        Sectfile.write_atomic
-          ~path:
-            (path ~program:w.Writer.program ~fingerprint:w.Writer.fingerprint
-               ~dshash:w.Writer.dshash)
-          ~tmp_prefix:"trace" text
-      with Sys_error _ -> ()
-    end;
-    text
-
-  (* ---- replay entries ---- *)
-
-  (* Bump on any change to the entry layout. *)
-  let replay_version = 1
-
-  (* The file name carries the trace key and a digest of the replay
-     key, so differently configured replays of one trace coexist. *)
-  let replay_path ~program ~fingerprint ~dshash ~key =
-    Filename.concat (dir ())
-      (Printf.sprintf "%s.%s.%s.%s.replay" program fingerprint dshash
-         (Fisher92_util.Fnv.hash_strings key))
-
-  (* The meta section is a canonical rendering of the whole key, so an
-     entry matches a request exactly when the two renderings are
-     equal. *)
-  let replay_meta ~program ~dataset ~fingerprint ~dshash ~n_sites ~key =
-    [
-      "program " ^ Sectfile.sized program;
-      "dataset " ^ Sectfile.sized dataset;
-      "fingerprint " ^ fingerprint;
-      "dshash " ^ dshash;
-      Printf.sprintf "sites %d" n_sites;
-    ]
-    @ List.map (fun k -> "key " ^ Sectfile.sized k) key
-
-  (* One line per tally: [c0 i0 c1 i1 ...], a (correct, incorrect) pair
-     per site. *)
-  let tally_line ~n_sites (correct, incorrect) =
-    String.concat " "
-      (List.concat
-         (List.init n_sites (fun s ->
-              [ string_of_int correct.(s); string_of_int incorrect.(s) ])))
-
-  (* Strict: exactly [2 * n_sites] fields, each a non-negative decimal
-     in canonical form (no sign, no leading zero, no underscore). *)
-  let parse_tally ~n_sites line =
-    let fields =
-      if String.equal line "" then [||]
-      else Array.of_list (String.split_on_char ' ' line)
-    in
-    if Array.length fields <> 2 * n_sites then
-      corrupt "tally has %d fields, want %d" (Array.length fields)
-        (2 * n_sites);
-    let count f =
-      match int_of_string_opt f with
-      | Some n when n >= 0 && String.equal (string_of_int n) f -> n
-      | Some _ | None -> corrupt "bad tally %S" f
-    in
-    ( Array.init n_sites (fun s -> count fields.(2 * s)),
-      Array.init n_sites (fun s -> count fields.((2 * s) + 1)) )
-
-  let parse_replay ~meta ~n_sites text =
-    let c = Sectfile.cursor (Sectfile.split_lines text) in
-    Sectfile.expect c (Printf.sprintf "fisher92replay %d" replay_version);
-    if
-      not
-        (List.equal String.equal meta
-           (Sectfile.strict_section c ~header:"meta" ~end_tag:"endmeta"))
-    then corrupt "replay entry recorded under another key";
-    let tallies =
-      List.map (parse_tally ~n_sites)
-        (Sectfile.strict_section c ~header:"tallies" ~end_tag:"endtallies")
-    in
-    Sectfile.expect c "end";
-    if not (Sectfile.at_end c) then corrupt "trailing lines after end";
-    tallies
-
-  let load_replay ~program ~dataset ~fingerprint ~dshash ~n_sites ~key =
-    if not (enabled ()) then None
-    else
-      match
-        Sectfile.read_file (replay_path ~program ~fingerprint ~dshash ~key)
-      with
-      | exception Sys_error _ -> None
-      | exception End_of_file -> None
-      | text -> (
-        let meta =
-          replay_meta ~program ~dataset ~fingerprint ~dshash ~n_sites ~key
-        in
-        match parse_replay ~meta ~n_sites text with
-        | tallies -> Some tallies
-        | exception Sectfile.Bad _ -> None)
-
-  let save_replay ~program ~dataset ~fingerprint ~dshash ~n_sites ~key
-      tallies =
-    if enabled () then begin
-      let buf = Buffer.create 4096 in
-      Buffer.add_string buf
-        (Printf.sprintf "fisher92replay %d\n" replay_version);
-      Sectfile.add_section buf ~header:"meta"
-        ~body:
-          (replay_meta ~program ~dataset ~fingerprint ~dshash ~n_sites ~key)
-        ~end_tag:"endmeta";
-      Sectfile.add_section buf ~header:"tallies"
-        ~body:(List.map (tally_line ~n_sites) tallies)
-        ~end_tag:"endtallies";
-      Buffer.add_string buf "end\n";
-      (* best-effort, like [save] *)
-      try
-        Sectfile.mkdir_p (dir ());
-        Sectfile.write_atomic
-          ~path:(replay_path ~program ~fingerprint ~dshash ~key)
-          ~tmp_prefix:"replay" (Buffer.contents buf)
-      with Sys_error _ -> ()
-    end
-
-  let clear () =
-    match Sys.readdir (dir ()) with
-    | exception Sys_error _ -> ()
-    | entries ->
-      Array.iter
-        (fun f ->
-          if
-            Filename.check_suffix f ".trace"
-            || Filename.check_suffix f ".replay"
-          then
-            try Sys.remove (Filename.concat (dir ()) f)
-            with Sys_error _ -> ())
-        entries
 end

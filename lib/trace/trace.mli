@@ -11,11 +11,12 @@
 
     {2 On-disk format}
 
-    A trace file follows the {!Fisher92_util.Sectfile} conventions the
-    profile database and study cache already use — versioned header,
-    FNV-1a-checksummed sections, atomic writes — so the shared
-    fault-injection corpus applies unchanged.  The two payload sections
-    carry binary streams as base64 lines:
+    A trace file is the [.trace] kind of {!Fisher92_util.Store}: a
+    versioned header, a meta section opening with the store key,
+    FNV-1a-checksummed sections and atomic writes, as for the study
+    cache's entries, so the shared fault-injection corpus applies
+    unchanged.  The two payload sections carry binary streams as base64
+    lines:
 
     - {b sites}: the site sequence, compressed with a successor model.
       The next branch site is usually a deterministic function of the
@@ -36,6 +37,12 @@
     payload, a site out of range, a hit-run with no trained successor,
     or leftover bytes all raise, so a damaged trace is recaptured,
     never replayed wrong. *)
+
+val kind : Fisher92_util.Store.kind
+(** [.trace] entries, one per (build, dataset) key, under
+    [FISHER92_TRACE_DIR]; [FISHER92_NO_TRACE] disables them
+    ({!Fisher92_util.Env}).  A missing, damaged, version-mismatched or
+    stale entry is a miss: the caller recaptures, never salvages. *)
 
 type meta = {
   t_program : string;
@@ -66,6 +73,9 @@ module Writer : sig
 
   val events : t -> int
 
+  val key : t -> Fisher92_util.Store.key
+  (** The store key the writer was created with. *)
+
   val render : t -> string
   (** The complete on-disk text.  Pure: feeding more events after a
       render and rendering again is allowed. *)
@@ -78,6 +88,10 @@ module Reader : sig
   val of_string : string -> t
   (** Parse and checksum-verify the sections and decode the payloads'
       base64.  @raise Fisher92_util.Sectfile.Bad on any damage. *)
+
+  val read : t Fisher92_util.Store.reader
+  (** The decoder behind {!of_string}, for
+      {!Fisher92_util.Store.find}. *)
 
   val meta : t -> meta
 
@@ -129,87 +143,4 @@ module Reader : sig
   val payload_bytes : t -> int
   (** Decoded binary payload size (sites + taken streams), for
       compression reporting. *)
-end
-
-(** The on-disk trace store: one file per (build, dataset) key, shared
-    with every process.  Keys mirror the study cache: program name, the
-    build's content hash ({!Fisher92_analysis.Fingerprint.content_hash},
-    so editing one constant misses), dataset-contents hash.  A missing,
-    damaged, version-mismatched or stale entry is a miss — the caller
-    recaptures, never salvages.
-
-    {b Replay entries.}  Beside a [.trace] file the store keeps
-    [.replay] entries: the per-site (correct, incorrect) tallies that
-    replaying the trace through a roster of predictor simulators
-    produced, so a later run reads a few kilobytes instead of decoding
-    and simulating the stream again.  An entry's key is the trace key
-    plus a caller-supplied list of lines naming everything else the
-    tallies depend on (the study's shared replay puts every simulator's
-    full scheme spec, a digest of the profile-warming vector and
-    [Dynamic.rules_digest] there); the file name carries the trace key
-    and a digest of those lines, and the entry's checksummed meta
-    section repeats all of it.  The format follows the trace file's
-    conventions — a [fisher92replay] version line, a [meta] section, a
-    [tallies] section with one line of [2 * n_sites] canonical decimals
-    per simulator, [end] — and is parsed strictly: any damage, or a key
-    that differs in any line, is a miss.
-
-    Environment ({!Fisher92_util.Env}): [FISHER92_TRACE_DIR] overrides
-    the location, [FISHER92_NO_TRACE] disables the store, replay entries
-    included. *)
-module Store : sig
-  val enabled : unit -> bool
-
-  val dir : unit -> string
-
-  val path : program:string -> fingerprint:string -> dshash:string -> string
-  (** Where an entry lives; the whole key is in the file name. *)
-
-  val load :
-    program:string ->
-    dataset:string ->
-    fingerprint:string ->
-    dshash:string ->
-    n_sites:int ->
-    Reader.t option
-  (** The stored trace for this exact key, or [None] when absent,
-      damaged, or recorded against a different build, dataset, or site
-      count.  Never raises. *)
-
-  val save : Writer.t -> string
-  (** Persist one trace (atomic write) and return its rendered text, so
-      a caller that also replays the capture renders it once.
-      Best-effort: an unwritable store directory is ignored, never
-      fatal. *)
-
-  val load_replay :
-    program:string ->
-    dataset:string ->
-    fingerprint:string ->
-    dshash:string ->
-    n_sites:int ->
-    key:string list ->
-    (int array * int array) list option
-  (** The tallies stored under this exact key, in the order they were
-      saved — each a per-site (correct, incorrect) pair of [n_sites]
-      counts — or [None] when the store is disabled or the entry is
-      absent, damaged, or recorded under a key differing in any
-      component.  Never raises. *)
-
-  val save_replay :
-    program:string ->
-    dataset:string ->
-    fingerprint:string ->
-    dshash:string ->
-    n_sites:int ->
-    key:string list ->
-    (int array * int array) list ->
-    unit
-  (** Persist tallies under the key (atomic write; each array must hold
-      at least [n_sites] counts, and only the first [n_sites] are kept).
-      Best-effort: a disabled store or an unwritable directory is
-      ignored, never fatal. *)
-
-  val clear : unit -> unit
-  (** Remove every stored trace and replay entry. *)
 end

@@ -1,9 +1,11 @@
 (** The sectioned, checksummed text-file codec shared by the profile
-    database ({!Fisher92_profile.Db}) and the study cache
-    ({!Fisher92.Study_cache}).
+    database ({!Fisher92_profile.Db}), the on-disk store's entries
+    ({!Store}: study-cache runs, branch traces and replay tallies) and
+    the profile-ingest service's deltas, write-ahead log and spool
+    ({!Fisher92_ingest}).
 
-    Both on-disk formats follow the same conventions, extracted here so
-    one implementation serves every reader and writer:
+    These on-disk formats follow the same conventions, extracted here
+    so one implementation serves every reader and writer:
 
     - {b sized strings}: ["<len> <payload>"], so names may contain
       spaces but never swallow the rest of a line;

@@ -1,11 +1,13 @@
 (* The parallel study runner: pool semantics, sequential/parallel
-   byte-identity, the on-disk study cache (round-trip, poisoning,
-   warm-run identity), the replay entries of the trace store (keys,
-   poisoning) and the pinned bytes of one entry of each kind. *)
+   byte-identity, the on-disk study cache (round-trip, warm-run
+   identity), the replay entries of the trace store (keys), and the one
+   store under all three kinds of entry (pinned bytes, a shared
+   directory, poisoning). *)
 
 module Pool = Fisher92_util.Pool
 module Study = Fisher92.Study
 module Cache = Fisher92.Study_cache
+module Store = Fisher92_util.Store
 module E = Fisher92.Experiments
 module Experiment = Fisher92.Experiment
 module Registry = Fisher92_workloads.Registry
@@ -199,17 +201,29 @@ let prop_parallel_equals_sequential =
 
 let spiff = lazy (Registry.find "spiff")
 
-let measured_run () =
-  let w = Lazy.force spiff in
-  let ir = Study.compile_variant w in
-  let d = List.hd w.Workload.w_datasets in
-  let fp = Fingerprint.content_hash ir in
-  let dh = Cache.dataset_hash d in
-  let run =
-    Measure.of_result ~program:w.w_name ~dataset:d.ds_name
-      (Study.execute ir d ())
-  in
-  (w, ir, d, fp, dh, run)
+(* spiff's first dataset, measured once: its run-cache key and run *)
+let measured_run =
+  lazy
+    (let w = Lazy.force spiff in
+     let ir = Study.compile_variant w in
+     let d = List.hd w.Workload.w_datasets in
+     let key =
+       {
+         Store.program = w.w_name;
+         dataset = d.ds_name;
+         fingerprint = Fingerprint.content_hash ir;
+         dshash = Cache.dataset_hash d;
+         n_sites = Fisher92_ir.Program.n_sites ir;
+         extra = [];
+       }
+     in
+     ( ir,
+       key,
+       Measure.of_result ~program:w.w_name ~dataset:d.ds_name
+         (Study.execute ir d ()) ))
+
+let lookup key = Store.find Cache.kind key Cache.read
+let store key run = Store.put Cache.kind key (Cache.render key run)
 
 let run_equal (a : Measure.run) (b : Measure.run) =
   String.equal a.program b.program
@@ -219,33 +233,21 @@ let run_equal (a : Measure.run) (b : Measure.run) =
   && a.profile.Profile.encountered = b.profile.Profile.encountered
   && a.profile.Profile.taken = b.profile.Profile.taken
 
-let entry_file ~fp ~dh (w : Workload.t) =
-  Filename.concat cache_dir (Printf.sprintf "%s.%s.%s.run" w.w_name fp dh)
-
 let test_cache_roundtrip () =
-  Cache.clear ();
-  let w, ir, d, fp, dh, run = measured_run () in
-  let n_sites = Fisher92_ir.Program.n_sites ir in
-  Alcotest.(check bool) "miss on empty cache" true
-    (Cache.lookup ~fingerprint:fp ~dshash:dh ~n_sites ~program:w.w_name d
-     = None);
-  Cache.store ~fingerprint:fp ~dshash:dh run;
-  (match
-     Cache.lookup ~fingerprint:fp ~dshash:dh ~n_sites ~program:w.w_name d
-   with
+  Store.clear Cache.kind;
+  let _, key, run = Lazy.force measured_run in
+  Alcotest.(check bool) "miss on empty cache" true (lookup key = None);
+  store key run;
+  (match lookup key with
   | None -> Alcotest.fail "stored entry not found"
   | Some back ->
     Alcotest.(check bool) "round-trips exactly" true (run_equal run back));
   (* a different build fingerprint must miss *)
   Alcotest.(check bool) "stale fingerprint misses" true
-    (Cache.lookup ~fingerprint:"0000000000000000" ~dshash:dh ~n_sites
-       ~program:w.w_name d
-     = None);
+    (lookup { key with fingerprint = "0000000000000000" } = None);
   (* a different site count must be rejected, not misread *)
   Alcotest.(check bool) "site count mismatch misses" true
-    (Cache.lookup ~fingerprint:fp ~dshash:dh ~n_sites:(n_sites + 1)
-       ~program:w.w_name d
-     = None)
+    (lookup { key with n_sites = key.n_sites + 1 } = None)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -258,68 +260,30 @@ let write_file path text =
   output_string oc text;
   close_out oc
 
-(* poisoned entries: any corruption either misses (recompute) or — when
-   the bytes happen to be untouched, e.g. an identity line swap — yields
-   the exact original record; and lookup never raises *)
-let prop_poisoned_entry_never_trusted =
-  let case_gen =
-    let open Gen in
-    let+ ops = list_size (int_range 1 3) Corrupt.op_gen in
-    ops
-  in
-  QCheck2.Test.make ~count:150
-    ~name:"corrupted cache entries are recomputed, never trusted"
-    ~print:(fun ops ->
-      String.concat "; " (List.map Corrupt.op_name ops))
-    case_gen
-    (fun ops ->
-      let w, ir, d, fp, dh, run = measured_run () in
-      let n_sites = Fisher92_ir.Program.n_sites ir in
-      Cache.clear ();
-      Cache.store ~fingerprint:fp ~dshash:dh run;
-      let path = entry_file ~fp ~dh w in
-      let original = read_file path in
-      let corrupted = List.fold_left Corrupt.apply_op original ops in
-      write_file path corrupted;
-      match
-        Cache.lookup ~fingerprint:fp ~dshash:dh ~n_sites ~program:w.w_name d
-      with
-      | None -> true
-      | Some back ->
-        (* only bit-identical survivors may be served *)
-        String.equal corrupted original && run_equal run back)
-
 let test_cache_truncation_and_bitflip () =
-  let w, ir, d, fp, dh, run = measured_run () in
-  let n_sites = Fisher92_ir.Program.n_sites ir in
-  Cache.clear ();
-  Cache.store ~fingerprint:fp ~dshash:dh run;
-  let path = entry_file ~fp ~dh w in
+  let _, key, run = Lazy.force measured_run in
+  Store.clear Cache.kind;
+  store key run;
+  let path = Store.path Cache.kind key in
   let original = read_file path in
   (* truncation *)
   write_file path (String.sub original 0 (String.length original / 2));
-  Alcotest.(check bool) "truncated entry misses" true
-    (Cache.lookup ~fingerprint:fp ~dshash:dh ~n_sites ~program:w.w_name d
-     = None);
+  Alcotest.(check bool) "truncated entry misses" true (lookup key = None);
   (* single bit flip in the middle (lands inside a checksummed section) *)
   let b = Bytes.of_string original in
   let mid = Bytes.length b / 2 in
   Bytes.set b mid (Char.chr (Char.code (Bytes.get b mid) lxor 1));
   write_file path (Bytes.to_string b);
-  Alcotest.(check bool) "bit-flipped entry misses" true
-    (Cache.lookup ~fingerprint:fp ~dshash:dh ~n_sites ~program:w.w_name d
-     = None);
+  Alcotest.(check bool) "bit-flipped entry misses" true (lookup key = None);
   (* a future format version must also miss *)
   write_file path
     ("fisher92runcache 999\n"
     ^ String.concat "\n"
         (List.tl (String.split_on_char '\n' original)));
-  Alcotest.(check bool) "version mismatch misses" true
-    (Cache.lookup ~fingerprint:fp ~dshash:dh ~n_sites ~program:w.w_name d
-     = None)
+  Alcotest.(check bool) "version mismatch misses" true (lookup key = None)
 
 let test_warm_cache_identical () =
-  Cache.clear ();
+  Store.clear Cache.kind;
   let names = [ "lfk"; "compress"; "uncompress" ] in
   let workloads () = List.map Registry.find names in
   let cold, cold_tm = Study.load_timed ~workloads:(workloads ()) () in
@@ -336,7 +300,7 @@ let test_warm_cache_identical () =
     (E.render_all cold) (E.render_all warm)
 
 let test_progress_events () =
-  Cache.clear ();
+  Store.clear Cache.kind;
   let events = ref [] in
   let _ =
     Study.load
@@ -391,17 +355,27 @@ let test_replay_key_components () =
 
 (* The store serves an entry only under its exact key. *)
 let test_replay_entry_keying () =
-  Trace.Store.clear ();
-  let n_sites = 3 in
+  Store.clear Tracing.replay_kind;
+  let key =
+    {
+      Store.program = "p";
+      dataset = "d";
+      fingerprint = "fp";
+      dshash = "dh";
+      n_sites = 3;
+      extra = [ "rules a"; "cold 2-bit" ];
+    }
+  in
   let tallies =
-    [ ([| 1; 0; 7 |], [| 2; 0; 0 |]); ([| 0; 0; 5 |], [| 3; 0; 2 |]) ]
+    [
+      { Tracing.site_correct = [| 1; 0; 7 |]; site_incorrect = [| 2; 0; 0 |] };
+      { Tracing.site_correct = [| 0; 0; 5 |]; site_incorrect = [| 3; 0; 2 |] };
+    ]
   in
-  let entry key =
-    Trace.Store.load_replay ~program:"p" ~dataset:"d" ~fingerprint:"fp"
-      ~dshash:"dh" ~n_sites ~key
+  let entry extra =
+    Store.find Tracing.replay_kind { key with extra } Tracing.read_replay
   in
-  Trace.Store.save_replay ~program:"p" ~dataset:"d" ~fingerprint:"fp"
-    ~dshash:"dh" ~n_sites ~key:[ "rules a"; "cold 2-bit" ] tallies;
+  Store.put Tracing.replay_kind key (Tracing.render_replay key tallies);
   Alcotest.(check bool) "round-trips under its key" true
     (entry [ "rules a"; "cold 2-bit" ] = Some tallies);
   Alcotest.(check bool) "another rules line misses" true
@@ -426,7 +400,8 @@ let render_predictors study =
    entry it saved, and that entry's path. *)
 let replay_fixture =
   lazy
-    (Trace.Store.clear ();
+    (Store.clear Trace.kind;
+     Store.clear Tracing.replay_kind;
      let study = Study.load ~workloads:(replay_workloads ()) () in
      let text = render_predictors study in
      match
@@ -481,16 +456,25 @@ let prop_poisoned_replay_entry =
      dune exec test/test_parallel.exe -- capture-entries \
        test/golden/store_entries.txt *)
 
-let fixed_fp = "0123456789abcdef"
-let fixed_dh = "fedcba9876543210"
+let fixed_key =
+  {
+    Store.program = "prog";
+    dataset = "data set";
+    fingerprint = "0123456789abcdef";
+    dshash = "fedcba9876543210";
+    n_sites = 4;
+    extra = [];
+  }
+
+let fixed_replay = { fixed_key with extra = [ "rules a"; "cold 2-bit" ] }
 
 let fixed_run =
-  let profile = Profile.empty ~program:"prog" ~n_sites:4 in
+  let profile = Profile.empty ~program:fixed_key.program ~n_sites:4 in
   Array.blit [| 40; 0; 75; 5 |] 0 profile.Profile.encountered 0 4;
   Array.blit [| 10; 0; 75; 0 |] 0 profile.Profile.taken 0 4;
   {
-    Measure.program = "prog";
-    dataset = "data set";
+    Measure.program = fixed_key.program;
+    dataset = fixed_key.dataset;
     counts =
       {
         Fisher92_metrics.Breaks.instructions = 1_000;
@@ -506,23 +490,29 @@ let fixed_events =
   List.concat (List.init 5 (fun i -> [ (0, true); (2, i < 4); (3, false) ]))
   @ [ (1, true); (0, false) ]
 
+let fixed_trace =
+  let { Store.program; dataset; fingerprint; dshash; n_sites; _ } = fixed_key in
+  let w = Trace.Writer.create ~program ~dataset ~fingerprint ~dshash ~n_sites in
+  List.iter (fun (s, t) -> Trace.Writer.feed w s t) fixed_events;
+  Trace.Writer.render w
+
 let fixed_tallies =
   [
-    ([| 30; 0; 70; 5 |], [| 10; 0; 5; 0 |]);
-    ([| 38; 0; 74; 4 |], [| 2; 0; 1; 1 |]);
+    {
+      Tracing.site_correct = [| 30; 0; 70; 5 |];
+      site_incorrect = [| 10; 0; 5; 0 |];
+    };
+    {
+      Tracing.site_correct = [| 38; 0; 74; 4 |];
+      site_incorrect = [| 2; 0; 1; 1 |];
+    };
   ]
 
 let write_fixed_entries () =
-  Cache.store ~fingerprint:fixed_fp ~dshash:fixed_dh fixed_run;
-  let w =
-    Trace.Writer.create ~program:"prog" ~dataset:"data set"
-      ~fingerprint:fixed_fp ~dshash:fixed_dh ~n_sites:4
-  in
-  List.iter (fun (s, t) -> Trace.Writer.feed w s t) fixed_events;
-  ignore (Trace.Store.save w : string);
-  Trace.Store.save_replay ~program:"prog" ~dataset:"data set"
-    ~fingerprint:fixed_fp ~dshash:fixed_dh ~n_sites:4
-    ~key:[ "rules a"; "cold 2-bit" ] fixed_tallies
+  store fixed_key fixed_run;
+  Store.put Trace.kind fixed_key fixed_trace;
+  Store.put Tracing.replay_kind fixed_replay
+    (Tracing.render_replay fixed_replay fixed_tallies)
 
 (* Both stores in one fresh directory for [f]'s duration. *)
 let with_one_store_dir f =
@@ -556,6 +546,133 @@ let test_entries_golden () =
   Alcotest.(check string) "entries match the golden"
     (read_file (Filename.concat "golden" "store_entries.txt"))
     (render_entries ())
+
+let decode r =
+  let out = ref [] in
+  Trace.Reader.iter r (fun s t -> out := (s, t) :: !out);
+  List.rev !out
+
+(* One directory for both stores (FISHER92_CACHE_DIR =
+   FISHER92_TRACE_DIR): entries of every kind under one key coexist,
+   each kind serves only its own entry, and clearing a kind leaves the
+   other kinds' files. *)
+let test_kinds_share_a_directory () =
+  with_one_store_dir (fun dir ->
+      write_fixed_entries ();
+      let run () = lookup fixed_key
+      and trace () = Store.find Trace.kind fixed_key Trace.Reader.read
+      and tallies () =
+        Store.find Tracing.replay_kind fixed_replay Tracing.read_replay
+      in
+      Alcotest.(check bool) "the run" true
+        (Option.map (run_equal fixed_run) (run ()) = Some true);
+      Alcotest.(check bool) "the trace" true
+        (Option.map decode (trace ()) = Some fixed_events);
+      Alcotest.(check bool) "the tallies" true
+        (tallies () = Some fixed_tallies);
+      (* another kind's entry under a kind's file name is a miss *)
+      let paths =
+        [
+          Store.path Cache.kind fixed_key;
+          Store.path Trace.kind fixed_key;
+          Store.path Tracing.replay_kind fixed_replay;
+        ]
+      in
+      let texts = List.map read_file paths in
+      List.iter2 write_file paths (List.tl texts @ [ List.hd texts ]);
+      Alcotest.(check bool) "each kind reads only its own entries" true
+        (run () = None && trace () = None && tallies () = None);
+      let suffixes () = List.map Filename.extension (sorted_files dir) in
+      Store.clear Trace.kind;
+      Alcotest.(check (list string)) "clearing traces" [ ".replay"; ".run" ]
+        (suffixes ());
+      Store.clear Cache.kind;
+      Alcotest.(check (list string)) "clearing runs" [ ".replay" ]
+        (suffixes ());
+      Store.clear Tracing.replay_kind;
+      Alcotest.(check (list string)) "clearing replays" [] (suffixes ()))
+
+(* ---------- poisoning: every kind ---------- *)
+
+type entry_kind = Run | Trace_file | Replay
+
+let entry_kind_name = function
+  | Run -> ".run"
+  | Trace_file -> ".trace"
+  | Replay -> ".replay"
+
+(* spiff's first-dataset trace and its events, and tallies of a replay
+   entry's shape (13 simulators over spiff's sites) under spiff's key *)
+let spiff_trace =
+  lazy
+    (let ir, key, _ = Lazy.force measured_run in
+     let d = List.hd (Lazy.force spiff).Workload.w_datasets in
+     let text =
+       Trace.Writer.render
+         (Tracing.record ~fingerprint:key.fingerprint ~dshash:key.dshash ~ir
+            ~program:key.program d)
+     in
+     (text, decode (Trace.Reader.of_string text)))
+
+let spiff_tallies key =
+  List.init 13 (fun t ->
+      {
+        Tracing.site_correct =
+          Array.init key.Store.n_sites (fun s -> ((31 * s) + (7 * t)) mod 97);
+        site_incorrect = Array.init key.Store.n_sites (fun s -> (s + t) mod 5);
+      })
+
+(* Write one entry of the kind and return its path and a lookup that
+   tells a miss ([None]) from serving exactly what was written
+   ([Some true]) or anything else ([Some false]). *)
+let poisoning_fixture kind =
+  let _, key, run = Lazy.force measured_run in
+  match kind with
+  | Run ->
+    store key run;
+    ( Store.path Cache.kind key,
+      fun () -> Option.map (run_equal run) (lookup key) )
+  | Trace_file ->
+    let text, events = Lazy.force spiff_trace in
+    Store.put Trace.kind key text;
+    ( Store.path Trace.kind key,
+      fun () ->
+        Option.map
+          (fun r -> decode r = events)
+          (Store.find Trace.kind key Trace.Reader.read) )
+  | Replay ->
+    let key = { key with extra = fixed_replay.extra } in
+    let tallies = spiff_tallies key in
+    Store.put Tracing.replay_kind key (Tracing.render_replay key tallies);
+    ( Store.path Tracing.replay_kind key,
+      fun () ->
+        Option.map
+          (fun back -> back = tallies)
+          (Store.find Tracing.replay_kind key Tracing.read_replay) )
+
+(* poisoned entries of every kind: any corruption either misses
+   (recompute) or — when the bytes happen to be untouched, e.g. an
+   identity line swap — yields exactly what was stored; and the lookup
+   never raises *)
+let prop_poisoned_entry_never_trusted =
+  QCheck2.Test.make ~count:300
+    ~name:"corrupted cache entries are recomputed, never trusted"
+    ~print:(fun (kind, ops) ->
+      String.concat "; " (entry_kind_name kind :: List.map Corrupt.op_name ops))
+    Gen.(
+      pair
+        (oneofl [ Run; Trace_file; Replay ])
+        (list_size (int_range 1 3) Corrupt.op_gen))
+    (fun (kind, ops) ->
+      let path, served = poisoning_fixture kind in
+      let original = read_file path in
+      let corrupted = List.fold_left Corrupt.apply_op original ops in
+      write_file path corrupted;
+      match served () with
+      | None -> true
+      | Some same ->
+        (* only bit-identical survivors may be served *)
+        String.equal corrupted original && same)
 
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
@@ -608,5 +725,7 @@ let () =
         [
           Alcotest.test_case "entries match the golden" `Quick
             test_entries_golden;
+          Alcotest.test_case "kinds share a directory" `Quick
+            test_kinds_share_a_directory;
         ] );
     ]

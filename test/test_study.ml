@@ -8,6 +8,7 @@ module Workload = Fisher92_workloads.Workload
 module Ast = Fisher92_minic.Ast
 module Fingerprint = Fisher92_analysis.Fingerprint
 module Study_cache = Fisher92.Study_cache
+module Store = Fisher92_util.Store
 module Tracing = Fisher92.Tracing
 module Trace = Fisher92_trace.Trace
 
@@ -282,20 +283,24 @@ let test_edited_constant_misses () =
       Alcotest.(check int) "original run" 876_096 (instructions original);
       let d = List.hd w.w_datasets in
       ignore (Tracing.obtain ~ir ~program:w.w_name d : Tracing.obtained);
-      let dshash = Study_cache.dataset_hash d in
-      let n_sites = Fisher92_ir.Program.n_sites ir' in
+      let key fingerprint =
+        {
+          Store.program = w.w_name;
+          dataset = d.ds_name;
+          fingerprint;
+          dshash = Study_cache.dataset_hash d;
+          n_sites = Fisher92_ir.Program.n_sites ir';
+          extra = [];
+        }
+      in
       Alcotest.(check bool) "the original build hits the study cache" true
         (Option.is_some
-           (Study_cache.lookup ~fingerprint:fp ~dshash ~n_sites
-              ~program:w.w_name d));
+           (Store.find Study_cache.kind (key fp) Study_cache.read));
       Alcotest.(check bool) "the edited build misses the study cache" true
         (Option.is_none
-           (Study_cache.lookup ~fingerprint:fp' ~dshash ~n_sites
-              ~program:w.w_name d));
+           (Store.find Study_cache.kind (key fp') Study_cache.read));
       Alcotest.(check bool) "the edited build misses the trace store" true
-        (Option.is_none
-           (Trace.Store.load ~program:w.w_name ~dataset:d.ds_name
-              ~fingerprint:fp' ~dshash ~n_sites));
+        (Option.is_none (Store.find Trace.kind (key fp') Trace.Reader.read));
       let warm = List.hd (Study.items (Study.load ~workloads:[ edited ] ())) in
       Alcotest.(check int) "a warm load reports the edited run" 873_386
         (instructions warm))

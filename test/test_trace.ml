@@ -4,6 +4,7 @@
 
 module Trace = Fisher92_trace.Trace
 module Sectfile = Fisher92_util.Sectfile
+module Store = Fisher92_util.Store
 module B64 = Fisher92_util.B64
 module Dynamic = Fisher92_predict.Dynamic
 module Tracing = Fisher92.Tracing
@@ -366,15 +367,21 @@ let test_replay_faithful () =
 
 (* ---------- store ---------- *)
 
+let key ?(program = "p") ?(dataset = "d") ?(fingerprint = "f0")
+    ?(dshash = "h0") ~n_sites () =
+  { Store.program; dataset; fingerprint; dshash; n_sites; extra = [] }
+
+let save w = Store.put Trace.kind (Trace.Writer.key w) (Trace.Writer.render w)
+let load k = Store.find Trace.kind k Trace.Reader.read
+
 let test_store_roundtrip () =
   let evs = [ (0, true); (1, false); (1, true) ] in
   let w =
     mk_writer ~program:"prog" ~fingerprint:"fp1" ~dshash:"dh1" ~n_sites:2 evs
   in
-  ignore (Trace.Store.save w : string);
+  save w;
   (match
-     Trace.Store.load ~program:"prog" ~dataset:"d" ~fingerprint:"fp1"
-       ~dshash:"dh1" ~n_sites:2
+     load (key ~program:"prog" ~fingerprint:"fp1" ~dshash:"dh1" ~n_sites:2 ())
    with
   | None -> Alcotest.fail "stored trace not found"
   | Some r -> Alcotest.(check (list (pair int bool))) "stream" evs (decode r));
@@ -382,7 +389,7 @@ let test_store_roundtrip () =
   let miss ~program ~dataset ~fingerprint ~dshash ~n_sites what =
     Alcotest.(check bool)
       (what ^ " is a miss") true
-      (Trace.Store.load ~program ~dataset ~fingerprint ~dshash ~n_sites = None)
+      (load (key ~program ~dataset ~fingerprint ~dshash ~n_sites ()) = None)
   in
   miss ~program:"other" ~dataset:"d" ~fingerprint:"fp1" ~dshash:"dh1"
     ~n_sites:2 "program";
@@ -400,41 +407,33 @@ let test_store_damage_is_miss () =
     mk_writer ~program:"dmg" ~fingerprint:"fp" ~dshash:"dh" ~n_sites:1
       [ (0, true) ]
   in
-  ignore (Trace.Store.save w : string);
-  let path = Trace.Store.path ~program:"dmg" ~fingerprint:"fp" ~dshash:"dh" in
-  let oc = open_out_bin path in
+  save w;
+  let k = key ~program:"dmg" ~fingerprint:"fp" ~dshash:"dh" ~n_sites:1 () in
+  let oc = open_out_bin (Store.path Trace.kind k) in
   output_string oc "fisher92trace 1\nnot really\n";
   close_out oc;
-  Alcotest.(check bool)
-    "damaged entry is a miss" true
-    (Trace.Store.load ~program:"dmg" ~dataset:"d" ~fingerprint:"fp"
-       ~dshash:"dh" ~n_sites:1
-    = None)
+  Alcotest.(check bool) "damaged entry is a miss" true (load k = None)
 
 let test_store_disabled () =
   let w =
     mk_writer ~program:"off" ~fingerprint:"fp" ~dshash:"dh" ~n_sites:1
       [ (0, false) ]
   in
+  let k = key ~program:"off" ~fingerprint:"fp" ~dshash:"dh" ~n_sites:1 () in
   Unix.putenv "FISHER92_NO_TRACE" "1";
   Fun.protect
     ~finally:(fun () -> Unix.putenv "FISHER92_NO_TRACE" "")
     (fun () ->
-      Alcotest.(check bool) "disabled" false (Trace.Store.enabled ());
-      ignore (Trace.Store.save w : string);
+      Alcotest.(check bool) "disabled" false (Trace.kind.enabled ());
+      save w;
       Alcotest.(check bool)
         "no file written" false
-        (Sys.file_exists
-           (Trace.Store.path ~program:"off" ~fingerprint:"fp" ~dshash:"dh"));
-      Alcotest.(check bool)
-        "load misses" true
-        (Trace.Store.load ~program:"off" ~dataset:"d" ~fingerprint:"fp"
-           ~dshash:"dh" ~n_sites:1
-        = None))
+        (Sys.file_exists (Store.path Trace.kind k));
+      Alcotest.(check bool) "load misses" true (load k = None))
 
 let test_obtain_caches () =
   let w, ir, d = Lazy.force compiled in
-  Trace.Store.clear ();
+  Store.clear Trace.kind;
   let a = Tracing.obtain ~ir ~program:w.Workload.w_name d in
   Alcotest.(check bool) "first obtain captures" false a.Tracing.from_store;
   let b = Tracing.obtain ~ir ~program:w.Workload.w_name d in

@@ -626,10 +626,49 @@ let test_h2p_warming_closes_gap () =
     (Printf.sprintf "H2P warm/cold mispredict geomean %.4f < 1" g)
     true (g < 1.0)
 
+(* The unmemoized reference under the shared replay: for every loaded
+   workload, obtain its first dataset's trace and replay it through
+   every scheme twice over one decode, cold and seeded with
+   [Tracing.warm_prediction].  Never served from replay entries: every
+   call replays, and consults the trace store, afresh. *)
+let tournament_study ~schemes study =
+  Fisher92_util.Pool.map
+    (fun (l : Fisher92.Study.loaded) ->
+      let n_sites = Fisher92_ir.Program.n_sites l.ir in
+      let warm = Tracing.warm_prediction l in
+      let ob =
+        Tracing.obtain ~ir:l.ir ~program:l.workload.Workload.w_name
+          (List.hd l.workload.w_datasets)
+      in
+      let sims =
+        List.map
+          (fun s ->
+            (s, Dynamic.create s ~n_sites, Dynamic.create ~warm s ~n_sites))
+          schemes
+      in
+      let hooks =
+        List.concat_map
+          (fun (_, c, w) -> [ Dynamic.hook_batch c; Dynamic.hook_batch w ])
+          sims
+      in
+      Trace.Reader.iter_runs ob.Tracing.reader (fun st tk rl pr n ->
+          List.iter (fun h -> h st tk rl pr n) hooks);
+      ( l,
+        ob,
+        List.map
+          (fun (s, c, w) ->
+            {
+              Tracing.rc_scheme = s;
+              rc_cold = Tracing.tally c;
+              rc_warm = Tracing.tally w;
+            })
+          sims ))
+    (Fisher92.Study.items study)
+
 (* Store hit and store miss must replay bit-identically: race once with
    an empty store (capture), once against the populated store. *)
 let test_store_hit_miss_identical () =
-  Fisher92_trace.Trace.Store.clear ();
+  Fisher92_util.Store.clear Trace.kind;
   let study =
     Fisher92.Study.load ~workloads:[ Registry.find "compress" ] ()
   in
@@ -644,8 +683,8 @@ let test_store_hit_miss_identical () =
       results
   in
   let builds = Tracing.shared_builds () in
-  let miss = snapshot (Tracing.tournament_study ~schemes study) in
-  let hit = snapshot (Tracing.tournament_study ~schemes study) in
+  let miss = snapshot (tournament_study ~schemes study) in
+  let hit = snapshot (tournament_study ~schemes study) in
   Alcotest.(check int) "tournament_study bypasses the shared memo" builds
     (Tracing.shared_builds ());
   Alcotest.(check bool) "first pass captured" true
@@ -690,9 +729,7 @@ let test_shared_memo () =
   render b "dynamic";
   Alcotest.(check int) "a second study gets its own replay" (builds + 2)
     (Tracing.shared_builds ());
-  let unmemoized =
-    Tracing.tournament_study ~schemes:(Tracing.zoo_schemes ()) b
-  in
+  let unmemoized = tournament_study ~schemes:(Tracing.zoo_schemes ()) b in
   Alcotest.(check bool) "tallies equal an unmemoized tournament_study" true
     (List.map (fun (s : Tracing.shared) -> race_tallies s.sh_races)
        (Tracing.shared b)
