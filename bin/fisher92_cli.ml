@@ -459,10 +459,9 @@ let trace_cmd =
   in
   let describe w (d : Workload.dataset) (m : Trace.meta) ~source =
     Printf.printf "%s / %s: %s dynamic branches over %d sites (%s)\n"
-      w.Workload.w_name d.ds_name (Table.inum m.Trace.t_events)
-      m.Trace.t_n_sites source;
-    Printf.printf "  fingerprint: %s  dataset hash: %s\n" m.Trace.t_fingerprint
-      m.Trace.t_dshash
+      w.Workload.w_name d.ds_name (Table.inum m.events) m.key.n_sites source;
+    Printf.printf "  fingerprint: %s  dataset hash: %s\n" m.key.fingerprint
+      m.key.dshash
   in
   let record =
     let run prog dataset output =
@@ -506,11 +505,11 @@ let trace_cmd =
         ~source:(if ob.Tracing.from_store then "from store" else "captured");
       let enc, _ = Trace.Reader.counts ob.Tracing.reader in
       let covered = Array.fold_left (fun n c -> if c > 0 then n + 1 else n) 0 enc in
-      Printf.printf "  sites covered: %d / %d\n" covered m.Trace.t_n_sites;
+      Printf.printf "  sites covered: %d / %d\n" covered m.key.n_sites;
       Printf.printf "  payload: %d bytes = %.2f bits/branch\n"
         (Trace.Reader.payload_bytes ob.Tracing.reader)
         (8.0 *. float_of_int (Trace.Reader.payload_bytes ob.Tracing.reader)
-        /. float_of_int (max 1 m.Trace.t_events))
+        /. float_of_int (max 1 m.events))
     in
     Cmd.v
       (Cmd.info "info"

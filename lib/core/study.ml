@@ -41,27 +41,24 @@ let execute ir (d : Workload.dataset) ?config () =
 
 let now () = Unix.gettimeofday ()
 
+let store_key ?fingerprint ?dshash ~program ir (d : Workload.dataset) =
+  let or_hash h f = match h with Some h -> h | None -> f () in
+  {
+    Store.program;
+    dataset = d.ds_name;
+    fingerprint = or_hash fingerprint (fun () -> Fingerprint.content_hash ir);
+    dshash = or_hash dshash (fun () -> Study_cache.dataset_hash d);
+    n_sites = Fisher92_ir.Program.n_sites ir;
+    extra = [];
+  }
+
 (* The lookup -> execute -> store round-trip for one (build, dataset)
    key.  The keys are only hashed when the cache is in use. *)
 let measure ?(cache = true) ?fingerprint ?dshash ~program ir
     (d : Workload.dataset) =
   let key =
     if cache && Study_cache.kind.enabled () then
-      Some
-        {
-          Store.program;
-          dataset = d.ds_name;
-          fingerprint =
-            (match fingerprint with
-            | Some fp -> fp
-            | None -> Fingerprint.content_hash ir);
-          dshash =
-            (match dshash with
-            | Some h -> h
-            | None -> Study_cache.dataset_hash d);
-          n_sites = Fisher92_ir.Program.n_sites ir;
-          extra = [];
-        }
+      Some (store_key ?fingerprint ?dshash ~program ir d)
     else None
   in
   match

@@ -91,6 +91,19 @@ val execute :
     experiments that need VM hooks or a result no
     {!Fisher92_metrics.Measure.run} holds). *)
 
+val store_key :
+  ?fingerprint:string ->
+  ?dshash:string ->
+  program:string ->
+  Fisher92_ir.Program.t ->
+  Fisher92_workloads.Workload.dataset ->
+  Fisher92_util.Store.key
+(** The store key of one (build, dataset) pair, with no [extra] lines:
+    the key of its {!Study_cache} entry and of its branch trace, and the
+    base of its shared-replay entry's.  [fingerprint] (the build's
+    {!Fisher92_analysis.Fingerprint.content_hash}) and [dshash] (the
+    dataset's {!Study_cache.dataset_hash}) are computed when omitted. *)
+
 val measure :
   ?cache:bool ->
   ?fingerprint:string ->

@@ -10,16 +10,11 @@ module Store = Fisher92_util.Store
 
 type obtained = { reader : Trace.Reader.t; from_store : bool }
 
-let or_hash h f = match h with Some h -> h | None -> f ()
-
 let record ?fingerprint ?dshash ~ir ~program (d : Workload.dataset) =
-  let w =
-    Trace.Writer.create ~program ~dataset:d.ds_name
-      ~fingerprint:
-        (or_hash fingerprint (fun () -> Fingerprint.content_hash ir))
-      ~dshash:(or_hash dshash (fun () -> Study_cache.dataset_hash d))
-      ~n_sites:(Fisher92_ir.Program.n_sites ir)
+  let { Store.program; dataset; fingerprint; dshash; n_sites; _ } =
+    Study.store_key ?fingerprint ?dshash ~program ir d
   in
+  let w = Trace.Writer.create ~program ~dataset ~fingerprint ~dshash ~n_sites in
   let config =
     { Vm.default_config with on_branch = Some (Trace.Writer.feed w) }
   in
@@ -27,16 +22,7 @@ let record ?fingerprint ?dshash ~ir ~program (d : Workload.dataset) =
   w
 
 let obtain ?fingerprint ?dshash ~ir ~program (d : Workload.dataset) =
-  let key =
-    {
-      Store.program;
-      dataset = d.ds_name;
-      fingerprint = or_hash fingerprint (fun () -> Fingerprint.content_hash ir);
-      dshash = or_hash dshash (fun () -> Study_cache.dataset_hash d);
-      n_sites = Fisher92_ir.Program.n_sites ir;
-      extra = [];
-    }
-  in
+  let key = Study.store_key ?fingerprint ?dshash ~program ir d in
   match Store.find Trace.kind key Trace.Reader.read with
   | Some reader -> { reader; from_store = true }
   | None ->
@@ -139,7 +125,7 @@ let warm_digest (w : Prediction.t) =
     (String.init (Array.length w) (fun s -> if w.(s) then '1' else '0'))
 
 let replay_key ?rules ~warm schemes =
-  let rules = or_hash rules Dynamic.rules_digest in
+  let rules = match rules with Some r -> r | None -> Dynamic.rules_digest () in
   ("rules " ^ rules)
   :: ("warm " ^ warm_digest warm)
   :: List.map
@@ -207,17 +193,11 @@ let shared_of ~schemes (l : Study.loaded) =
   let d = List.hd l.workload.Workload.w_datasets in
   let warm = warm_prediction l in
   let sims = shared_sims ~warm schemes in
-  let key =
-    {
-      Store.program = l.workload.w_name;
-      dataset = d.ds_name;
-      fingerprint = Fingerprint.content_hash l.ir;
-      dshash =
-        or_hash (Study.first_dshash l) (fun () -> Study_cache.dataset_hash d);
-      n_sites = Fisher92_ir.Program.n_sites l.ir;
-      extra = replay_key ~warm schemes;
-    }
+  let base =
+    Study.store_key ?dshash:(Study.first_dshash l) ~program:l.workload.w_name
+      l.ir d
   in
+  let key = { base with Store.extra = replay_key ~warm schemes } in
   let tallies, from_store =
     match Store.find replay_kind key read_replay with
     | Some tallies when List.length tallies = List.length sims ->

@@ -5,13 +5,13 @@
     [dynsim], [predictability], [tournament] and [h2p] experiments all
     read, with the codec of its [.replay] store entries.
 
-    Keys mirror {!Study_cache}: the workload name, the
-    {!Fisher92_analysis.Fingerprint.content_hash} of the measured build,
-    and the FNV-1a dataset-contents hash — so a recompiled program, an
-    edited constant or a regenerated dataset silently invalidates its
-    stored traces.  Functions taking [?fingerprint] and [?dshash]
-    compute those hashes when omitted; a caller that already holds them
-    passes them down. *)
+    Keys are {!Study.store_key}'s, as for {!Study_cache}: the workload
+    name, the {!Fisher92_analysis.Fingerprint.content_hash} of the
+    measured build, and the FNV-1a dataset-contents hash — so a
+    recompiled program, an edited constant or a regenerated dataset
+    silently invalidates its stored traces.  Functions taking
+    [?fingerprint] and [?dshash] compute those hashes when omitted; a
+    caller that already holds them passes them down. *)
 
 module Trace = Fisher92_trace.Trace
 module Dynamic = Fisher92_predict.Dynamic

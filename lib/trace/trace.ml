@@ -17,14 +17,7 @@ let kind =
 
 let b64_width = 76
 
-type meta = {
-  t_program : string;
-  t_dataset : string;
-  t_fingerprint : string;
-  t_dshash : string;
-  t_n_sites : int;
-  t_events : int;
-}
+type meta = { key : Store.key; events : int }
 
 (* ---- varints and zigzag (the shared Fisher92_util.Varint codec;
    decode errors surface as [Sectfile.Bad] so the store and the fault
@@ -41,7 +34,6 @@ let read_varint = Fisher92_util.Varint.read
 module Writer = struct
   type t = {
     key : Store.key;
-    n_sites : int;  (* key.n_sites, one load nearer [feed]'s range check *)
     sites_buf : Buffer.t;
     taken_buf : Buffer.t;
     next : int array;  (* successor model: next.(2*site + taken), -1 = cold *)
@@ -59,7 +51,6 @@ module Writer = struct
     if n_sites < 0 then invalid_arg "Trace.Writer.create: negative n_sites";
     {
       key = { program; dataset; fingerprint; dshash; n_sites; extra = [] };
-      n_sites;
       sites_buf = Buffer.create 4096;
       taken_buf = Buffer.create 1024;
       next = Array.make (Int.max 1 (2 * n_sites)) (-1);
@@ -74,7 +65,7 @@ module Writer = struct
     }
 
   let feed t site taken =
-    if site < 0 || site >= t.n_sites then
+    if site < 0 || site >= t.key.n_sites then
       invalid_arg "Trace.Writer.feed: site out of range";
     (* site stream: successor-model hit runs, explicit deltas on miss *)
     let slot = (2 * t.prev_site) + Bool.to_int t.prev_taken in
@@ -153,15 +144,7 @@ module Reader = struct
       let sites_body = section "sites" in
       let taken_body = section "taken" in
       {
-        meta =
-          {
-            t_program = key.program;
-            t_dataset = key.dataset;
-            t_fingerprint = key.fingerprint;
-            t_dshash = key.dshash;
-            t_n_sites = key.n_sites;
-            t_events = Store.int_field "events" events;
-          };
+        meta = { key; events = Store.int_field "events" events };
         sites_payload =
           decode_payload ~what:"sites"
             ~declared:(Store.int_field "sitebytes" sb)
@@ -183,7 +166,7 @@ module Reader = struct
     String.length t.sites_payload + String.length t.taken_payload
 
   let iter t f =
-    let total = t.meta.t_events and n_sites = t.meta.t_n_sites in
+    let total = t.meta.events and n_sites = t.meta.key.n_sites in
     if total = 0 then begin
       if t.sites_payload <> "" || t.taken_payload <> "" then
         corrupt "payload bytes on an empty trace"
@@ -250,7 +233,7 @@ module Reader = struct
     end
 
   let counts t =
-    let n = t.meta.t_n_sites in
+    let n = t.meta.key.n_sites in
     let encountered = Array.make n 0 and taken = Array.make n 0 in
     iter t (fun site tk ->
         encountered.(site) <- encountered.(site) + 1;
@@ -274,7 +257,7 @@ module Reader = struct
      [iter]; both always raise [Sectfile.Bad]. *)
   let iter_runs ?(chunk = default_chunk) t f =
     if chunk <= 0 then invalid_arg "Trace.Reader.iter_runs: chunk not positive";
-    let total = t.meta.t_events and n_sites = t.meta.t_n_sites in
+    let total = t.meta.events and n_sites = t.meta.key.n_sites in
     if total = 0 then begin
       if t.sites_payload <> "" || t.taken_payload <> "" then
         corrupt "payload bytes on an empty trace"

@@ -45,14 +45,10 @@ val kind : Fisher92_util.Store.kind
     stale entry is a miss: the caller recaptures, never salvages. *)
 
 type meta = {
-  t_program : string;
-  t_dataset : string;
-  t_fingerprint : string;
-      (** {!Fisher92_analysis.Fingerprint.content_hash} of the build the
-          trace was captured on *)
-  t_dshash : string;  (** FNV-1a hash of the full dataset contents *)
-  t_n_sites : int;  (** branch sites of the build *)
-  t_events : int;  (** dynamic conditional branches recorded *)
+  key : Fisher92_util.Store.key;
+      (** the (build, dataset) the trace was captured on; [extra] is
+          [[]] *)
+  events : int;  (** dynamic conditional branches recorded *)
 }
 
 (** Capture side: feed from {!Fisher92_vm.Vm.config}[.on_branch]. *)
@@ -99,7 +95,7 @@ module Reader : sig
   (** Replay the stream in capture order.  Decodes incrementally (the
       payload is never materialized as an event list).
       @raise Fisher92_util.Sectfile.Bad if the payload does not decode
-      to exactly [meta.t_events] well-formed events. *)
+      to exactly [meta.events] well-formed events. *)
 
   val counts : t -> int array * int array
   (** Replayed per-site (encountered, taken) aggregates — bit-exact

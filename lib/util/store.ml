@@ -96,6 +96,10 @@ let render kind k ~meta sections =
   Buffer.contents buf
 
 let parse kind text (read : _ reader) =
+  (* [render] ends every entry with a newline, so a text without one
+     was cut short, however whole its last line looks *)
+  if not (String.ends_with ~suffix:"\n" text) then
+    Sectfile.failf 0 "no newline after the last line";
   let c = Sectfile.cursor (Sectfile.split_lines text) in
   let section name =
     Sectfile.strict_section c ~header:name ~end_tag:("end" ^ name)

@@ -14,9 +14,9 @@
     brings its own codec for the rest.
 
     Reading is strict and never salvages: a disabled kind, a missing
-    or unreadable file, damage anywhere, a version line of another
-    format or a key differing in any line is a miss ([None]) and the
-    caller recomputes.  Writing is best-effort and atomic: an
+    or unreadable file, damage anywhere (a lost final newline
+    included), a version line of another format or a key differing in
+    any line is a miss ([None]) and the caller recomputes.  Writing is best-effort and atomic: an
     unwritable directory is ignored, never fatal.  The knobs are read
     on every call, so a process may move or disable a store between
     calls. *)

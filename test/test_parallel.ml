@@ -14,7 +14,6 @@ module Registry = Fisher92_workloads.Registry
 module Workload = Fisher92_workloads.Workload
 module Measure = Fisher92_metrics.Measure
 module Profile = Fisher92_profile.Profile
-module Fingerprint = Fisher92_analysis.Fingerprint
 module Corrupt = Fisher92_testsupport.Corrupt
 module Tracing = Fisher92.Tracing
 module Trace = Fisher92_trace.Trace
@@ -207,18 +206,8 @@ let measured_run =
     (let w = Lazy.force spiff in
      let ir = Study.compile_variant w in
      let d = List.hd w.Workload.w_datasets in
-     let key =
-       {
-         Store.program = w.w_name;
-         dataset = d.ds_name;
-         fingerprint = Fingerprint.content_hash ir;
-         dshash = Cache.dataset_hash d;
-         n_sites = Fisher92_ir.Program.n_sites ir;
-         extra = [];
-       }
-     in
      ( ir,
-       key,
+       Study.store_key ~program:w.w_name ir d,
        Measure.of_result ~program:w.w_name ~dataset:d.ds_name
          (Study.execute ir d ()) ))
 
@@ -269,6 +258,10 @@ let test_cache_truncation_and_bitflip () =
   (* truncation *)
   write_file path (String.sub original 0 (String.length original / 2));
   Alcotest.(check bool) "truncated entry misses" true (lookup key = None);
+  (* a write cut just before the final newline leaves every line whole *)
+  write_file path (String.sub original 0 (String.length original - 1));
+  Alcotest.(check bool) "entry without its final newline misses" true
+    (lookup key = None);
   (* single bit flip in the middle (lands inside a checksummed section) *)
   let b = Bytes.of_string original in
   let mid = Bytes.length b / 2 in
@@ -653,9 +646,9 @@ let poisoning_fixture kind =
 (* poisoned entries of every kind: any corruption either misses
    (recompute) or — when the bytes happen to be untouched, e.g. an
    identity line swap — yields exactly what was stored; and the lookup
-   never raises *)
+   never raises.  450 cases give each kind about 150. *)
 let prop_poisoned_entry_never_trusted =
-  QCheck2.Test.make ~count:300
+  QCheck2.Test.make ~count:450
     ~name:"corrupted cache entries are recomputed, never trusted"
     ~print:(fun (kind, ops) ->
       String.concat "; " (entry_kind_name kind :: List.map Corrupt.op_name ops))

@@ -283,24 +283,15 @@ let test_edited_constant_misses () =
       Alcotest.(check int) "original run" 876_096 (instructions original);
       let d = List.hd w.w_datasets in
       ignore (Tracing.obtain ~ir ~program:w.w_name d : Tracing.obtained);
-      let key fingerprint =
-        {
-          Store.program = w.w_name;
-          dataset = d.ds_name;
-          fingerprint;
-          dshash = Study_cache.dataset_hash d;
-          n_sites = Fisher92_ir.Program.n_sites ir';
-          extra = [];
-        }
-      in
+      let key ir = Study.store_key ~program:w.w_name ir d in
       Alcotest.(check bool) "the original build hits the study cache" true
         (Option.is_some
-           (Store.find Study_cache.kind (key fp) Study_cache.read));
+           (Store.find Study_cache.kind (key ir) Study_cache.read));
       Alcotest.(check bool) "the edited build misses the study cache" true
         (Option.is_none
-           (Store.find Study_cache.kind (key fp') Study_cache.read));
+           (Store.find Study_cache.kind (key ir') Study_cache.read));
       Alcotest.(check bool) "the edited build misses the trace store" true
-        (Option.is_none (Store.find Trace.kind (key fp') Trace.Reader.read));
+        (Option.is_none (Store.find Trace.kind (key ir') Trace.Reader.read));
       let warm = List.hd (Study.items (Study.load ~workloads:[ edited ] ())) in
       Alcotest.(check int) "a warm load reports the edited run" 873_386
         (instructions warm))

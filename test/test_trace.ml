@@ -64,8 +64,8 @@ let test_known_stream () =
   let r = Trace.Reader.of_string (Trace.Writer.render (mk_writer ~n_sites:3 evs)) in
   Alcotest.(check (list (pair int bool))) "stream" evs (decode r);
   let m = Trace.Reader.meta r in
-  Alcotest.(check int) "events" 6 m.Trace.t_events;
-  Alcotest.(check int) "sites" 3 m.Trace.t_n_sites;
+  Alcotest.(check int) "events" 6 m.events;
+  Alcotest.(check int) "sites" 3 m.key.n_sites;
   let enc, tak = Trace.Reader.counts r in
   Alcotest.(check (array int)) "encountered" [| 3; 2; 1 |] enc;
   Alcotest.(check (array int)) "taken" [| 1; 2; 1 |] tak
